@@ -21,7 +21,11 @@ Ownership contract:
   queries) read columns directly and never touch node objects;
 * per-object reads (``node.idle_memory_mb`` and friends) keep their
   existing row-local caches, so the object API costs exactly what it
-  did before.
+  did before;
+* the same write-through keeps the *balance moments* — exact ints
+  ``(n, Σc, Σc²)`` of the running-job column over alive, unreserved
+  nodes — by counting the row's old values out and its new values in
+  (:meth:`move_balance`), so the collector's job-balance skew is O(1).
 
 The low three flag bits deliberately match
 :mod:`repro.obs.sampler`'s ``FLAG_ALIVE``/``FLAG_RESERVED``/
@@ -36,7 +40,7 @@ per-object path, which the differential tests pin byte-identical.
 from __future__ import annotations
 
 from array import array
-from typing import List
+from typing import List, Tuple
 
 #: Flag bits of one node's ``flags`` byte.  The low three bits match
 #: the obs sampler's packing (see module docstring).
@@ -49,6 +53,10 @@ FLAG_STARVING = 16
 #: ``bytes.translate`` table projecting a flags byte onto the sampler
 #: bits (alive | reserved | thrashing).
 SAMPLER_FLAG_MASK = bytes((i & 7) for i in range(256))
+
+#: Flag bits that decide whether a row counts in the balance moments:
+#: it does exactly when ``bits & BALANCE_MASK == FLAG_ALIVE``.
+BALANCE_MASK = FLAG_ALIVE | FLAG_RESERVED
 
 
 class ClusterState:
@@ -63,7 +71,8 @@ class ClusterState:
 
     __slots__ = ("num_nodes", "user_memory_mb", "total_demand_mb",
                  "idle_memory_mb", "fault_rate_per_s", "num_running",
-                 "inbound_jobs", "flags")
+                 "inbound_jobs", "flags", "balance_n", "balance_sum",
+                 "balance_sumsq")
 
     def __init__(self, num_nodes: int):
         if num_nodes <= 0:
@@ -84,28 +93,41 @@ class ClusterState:
         self.inbound_jobs = array("l", [0] * num_nodes)
         #: FLAG_* bits per node; nodes start alive.
         self.flags = bytearray([FLAG_ALIVE]) * num_nodes
+        #: Balance moments: every node starts alive, unreserved, idle.
+        self.balance_n = num_nodes
+        self.balance_sum = 0
+        self.balance_sumsq = 0
+
+    def move_balance(self, old_bits: int, old_count: int, bits: int,
+                     count: int) -> None:
+        """Count one row's old (flags, running count) out of the
+        balance moments and its new values in."""
+        if old_bits & BALANCE_MASK == FLAG_ALIVE:
+            self.balance_n -= 1
+            self.balance_sum -= old_count
+            self.balance_sumsq -= old_count * old_count
+        if bits & BALANCE_MASK == FLAG_ALIVE:
+            self.balance_n += 1
+            self.balance_sum += count
+            self.balance_sumsq += count * count
 
     # ------------------------------------------------------------------
     # batch views
     # ------------------------------------------------------------------
-    def committed_jobs(self, node_id: int) -> int:
-        """Running plus in-flight jobs of one node (slot accounting)."""
-        return self.num_running[node_id] + self.inbound_jobs[node_id]
-
     def reserved_ids(self) -> List[int]:
         """Node ids with the reserved flag set, ascending."""
         return [node_id for node_id, bits in enumerate(self.flags)
                 if bits & FLAG_RESERVED]
 
-    def count_flag(self, bit: int) -> int:
-        """Number of nodes with ``bit`` set."""
-        return sum(1 for bits in self.flags if bits & bit)
-
     def sampler_flags(self) -> bytes:
         """All flag bytes projected onto the obs-sampler bit packing."""
         return bytes(self.flags).translate(SAMPLER_FLAG_MASK)
 
+    def balance_moments(self) -> Tuple[int, int, int]:
+        """``(n, Σc, Σc²)`` of the running-job counts of alive,
+        unreserved nodes."""
+        return self.balance_n, self.balance_sum, self.balance_sumsq
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        alive = self.count_flag(FLAG_ALIVE)
-        return (f"<ClusterState n={self.num_nodes} alive={alive}"
-                f" accepting={self.count_flag(FLAG_ACCEPTING)}>")
+        return (f"<ClusterState n={self.num_nodes}"
+                f" balance={self.balance_moments()}>")

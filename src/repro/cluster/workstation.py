@@ -21,6 +21,7 @@ from repro.cluster.cpu import progress_rates
 from repro.cluster.job import Job, JobState
 from repro.cluster.memory import PagingAssessment, PagingModel
 from repro.cluster.state import (
+    BALANCE_MASK,
     FLAG_ACCEPTING,
     FLAG_ALIVE,
     FLAG_RESERVED,
@@ -463,17 +464,21 @@ class Workstation:
         columns sees exactly what the object properties return at the
         same instant.  Float columns hold the property values bit-for-
         bit; the flag bits mirror ``alive``/``reserved``/``thrashing``/
-        ``accepting``/``has_starving_job``.
+        ``accepting``/``has_starving_job``.  As the only writer of
+        ``num_running`` and ``flags`` it also keeps the balance moments.
         """
         state = self._state
         i = self.node_id
         alive = self._alive
         idle = (max(0.0, self.user_memory_mb - self._total_demand_cache)
                 if alive else 0.0)
+        count = len(self._running)
+        old_count = state.num_running[i]
+        old_bits = state.flags[i]
         state.total_demand_mb[i] = self._total_demand_cache
         state.idle_memory_mb[i] = idle
         state.fault_rate_per_s[i] = self._fault_rate_cache
-        state.num_running[i] = len(self._running)
+        state.num_running[i] = count
         state.inbound_jobs[i] = self._inbound_jobs
         bits = 0
         if alive:
@@ -484,13 +489,15 @@ class Workstation:
             if self._starving_cache:
                 bits |= FLAG_STARVING
             if (not self._reserved
-                    and (len(self._running) + self._inbound_jobs
+                    and (count + self._inbound_jobs
                          < self.config.cpu_threshold)
                     and idle >= self.config.min_idle_mb):
                 bits |= FLAG_ACCEPTING
         if self._reserved:
             bits |= FLAG_RESERVED
         state.flags[i] = bits
+        if count != old_count or (bits ^ old_bits) & BALANCE_MASK:
+            state.move_balance(old_bits, old_count, bits, count)
 
     def _allocate_rates(self, speed: float, tax: float, stalls: list,
                         capacity_factor: float) -> list:

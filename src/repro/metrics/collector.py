@@ -5,28 +5,27 @@ active jobs in each workstation every second (§4.1-4.2), and verifies
 that the averages are insensitive to the sampling interval (we expose
 the interval so the benchmark suite can repeat that check).
 
-The 1 Hz sample is the dominant scaling cost of large-cluster runs:
-most simulated seconds see *no* node change (job events are sparse
-compared to the tick), yet the per-object path walks all N nodes
-three times per tick.  With the columnar
-:class:`~repro.cluster.state.ClusterState` attached, the collector
-instead subscribes to node change notifications and recomputes the
-sample components only on ticks where something actually changed —
-an unchanged tick reuses the previous components, which are identical
-by construction (same inputs, same arithmetic).  Changed ticks read
-the state columns rather than node properties.  Balance skew is
-computed once per tick into a parallel series instead of per access,
-so summarize-time averaging is O(ticks) instead of O(ticks x N).
+Each sample keeps only scalars.  The job-balance skew comes from
+three exact integer moments of the running-job counts among alive,
+non-reserved workstations, ``(n, Σc, Σc²)``, via
+:func:`job_balance_skew`.  The columnar
+:class:`~repro.cluster.state.ClusterState` keeps those moments at its
+write-through, so the skew is O(1) however many nodes there are; the
+collector also re-reads the idle-memory column and reserved flags only
+on ticks after some node changed (a clean tick reuses the previous
+values: same inputs, same arithmetic).  The per-object path
+(``columnar=False``) walks the nodes for the same ints and sums, so
+both paths produce the same floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.state import FLAG_ALIVE, FLAG_RESERVED
+from repro.cluster.state import FLAG_RESERVED
 
 
 @dataclass(frozen=True)
@@ -35,38 +34,28 @@ class ClusterSample:
 
     time: float
     total_idle_memory_mb: float
-    #: Active job counts per node; reserved (and crashed) nodes hold
-    #: None so that the balance skew is computed "among all
-    #: non-reserved workstations".
-    jobs_per_node: Tuple[Optional[int], ...]
+    #: Standard deviation of active jobs among alive, non-reserved
+    #: nodes (see :func:`job_balance_skew`).
+    job_balance_skew: float
     num_reserved: int
     pending_jobs: int
 
-    @property
-    def job_balance_skew(self) -> float:
-        """Standard deviation of active jobs among non-reserved nodes."""
-        return _skew_of(self.jobs_per_node)
 
-
-#: Byte-translate tables over the packed flags column: C-speed
-#: classification of all N nodes at once.  ``_EXCLUDED_TABLE`` marks
-#: nodes whose job count is None in the skew vector (reserved or
-#: dead); ``_RESERVED_TABLE`` marks reserved nodes.
-_EXCLUDED_TABLE = bytes(
-    1 if (b & FLAG_RESERVED or not b & FLAG_ALIVE) else 0
-    for b in range(256))
+#: ``bytes.translate`` table over the packed flags column marking
+#: reserved nodes: C-speed count of all N nodes at once.
 _RESERVED_TABLE = bytes(1 if b & FLAG_RESERVED else 0 for b in range(256))
 
 
-def _skew_of(jobs_per_node: Tuple[Optional[int], ...]) -> float:
-    """Balance skew of one counts vector (shared by the per-sample
-    property and the collector's per-tick cache so both produce the
-    same floats)."""
-    counts = [c for c in jobs_per_node if c is not None]
-    if not counts:
+def job_balance_skew(n: int, total: int, total_sq: int) -> float:
+    """Population standard deviation of ``n`` job counts whose sum is
+    ``total`` and sum of squares ``total_sq``; 0.0 when ``n`` is 0.
+
+    The variance ``(n·Σc² − (Σc)²) / n²`` is one correctly rounded int
+    division, so the result is within one ulp of the exact value.
+    """
+    if n == 0:
         return 0.0
-    mean = sum(counts) / len(counts)
-    return math.sqrt(sum((c - mean) ** 2 for c in counts) / len(counts))
+    return math.sqrt((n * total_sq - total * total) / (n * n))
 
 
 class PolicyPendingProbe:
@@ -99,10 +88,6 @@ class MetricsCollector:
         #: Optional callable returning the current pending-queue length.
         self.pending_probe = pending_probe
         self.samples: List[ClusterSample] = []
-        #: Per-sample balance skew, parallel to ``samples`` (columnar
-        #: mode only): computed once at sample time so summarize-time
-        #: averaging does not revisit every counts vector.
-        self._skews: List[float] = []
         self._state = cluster.state
         if self._state is not None:
             # Change-driven caching: any externally visible node change
@@ -112,7 +97,6 @@ class MetricsCollector:
             # no node change, so it is probed fresh every tick.
             self._dirty = True
             self._cached_idle = 0.0
-            self._cached_jobs: Tuple[Optional[int], ...] = ()
             self._cached_skew = 0.0
             self._cached_reserved = 0
             for node in cluster.nodes:
@@ -135,59 +119,48 @@ class MetricsCollector:
         if self._state is not None:
             return self._sample_columnar()
         cluster = self.cluster
-        jobs_per_node = tuple(
-            None if (node.reserved or not node.alive) else node.num_running
-            for node in cluster.nodes)
+        counts = [node.num_running for node in cluster.nodes
+                  if node.alive and not node.reserved]
         pending = self.pending_probe() if self.pending_probe else 0
         sample = ClusterSample(
             time=cluster.sim.now,
             total_idle_memory_mb=cluster.total_idle_memory_mb(),
-            jobs_per_node=jobs_per_node,
+            job_balance_skew=job_balance_skew(
+                len(counts), sum(counts), sum(c * c for c in counts)),
             num_reserved=len(cluster.reserved_nodes()),
             pending_jobs=pending,
         )
         self.samples.append(sample)
-        self._skews.append(sample.job_balance_skew)
         return sample
 
     def _sample_columnar(self) -> ClusterSample:
         """Columnar sample: recompute components from the state
-        columns only when a node changed since the last sample.
+        columns and balance moments only when a node changed since the
+        last sample.
 
         Equivalence with the per-object path is exact: columns hold
         the property values bit-for-bit (written at the same change
-        instants), the column sums run in the same node order, and a
-        clean tick's reused components are what recomputation would
-        produce (no node changed, so no input changed).
+        instants), the idle-memory sum runs in the same node order,
+        the moments are the same exact ints, and a clean tick's reused
+        components are what recomputation would produce (no node
+        changed, so no input changed).
         """
         state = self._state
         if self._dirty:
             self._dirty = False
-            num_running = state.num_running
-            excluded = bytes(state.flags).translate(_EXCLUDED_TABLE)
-            if excluded.count(1) == 0:
-                # Common case: every node alive and unreserved, so the
-                # jobs vector is the running-count column verbatim.
-                self._cached_jobs = tuple(num_running)
-                self._cached_reserved = 0
-            else:
-                self._cached_jobs = tuple(
-                    None if excl else num_running[node_id]
-                    for node_id, excl in enumerate(excluded))
-                self._cached_reserved = bytes(state.flags).translate(
-                    _RESERVED_TABLE).count(1)
             self._cached_idle = sum(state.idle_memory_mb)
-            self._cached_skew = _skew_of(self._cached_jobs)
+            self._cached_skew = job_balance_skew(*state.balance_moments())
+            self._cached_reserved = state.flags.translate(
+                _RESERVED_TABLE).count(1)
         pending = self.pending_probe() if self.pending_probe else 0
         sample = ClusterSample(
             time=self.cluster.sim.now,
             total_idle_memory_mb=self._cached_idle,
-            jobs_per_node=self._cached_jobs,
+            job_balance_skew=self._cached_skew,
             num_reserved=self._cached_reserved,
             pending_jobs=pending,
         )
         self.samples.append(sample)
-        self._skews.append(self._cached_skew)
         return sample
 
     # ------------------------------------------------------------------
@@ -204,26 +177,14 @@ class MetricsCollector:
 
     def average_job_balance_skew(self, until: Optional[float] = None
                                  ) -> float:
-        """Time-averaged balance skew among non-reserved workstations.
-
-        Uses the per-tick skew series cached at sample time (same
-        floats as the per-sample property); samples injected directly
-        into ``samples`` (tests) fall back to the property.
-        """
+        """Time-averaged balance skew among non-reserved workstations."""
         total = 0.0
         count = 0
-        if len(self._skews) == len(self.samples):
-            for s, skew in zip(self.samples, self._skews):
-                if until is not None and s.time > until:
-                    break
-                total += skew
-                count += 1
-        else:
-            for s in self.samples:
-                if until is not None and s.time > until:
-                    break
-                total += s.job_balance_skew
-                count += 1
+        for s in self.samples:
+            if until is not None and s.time > until:
+                break
+            total += s.job_balance_skew
+            count += 1
         return total / count if count else 0.0
 
     def reserved_node_seconds(self) -> float:

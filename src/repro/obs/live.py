@@ -91,6 +91,10 @@ CONTROL_TIMEOUT_S = 10.0
 #: One published payload: (body bytes, content type, HTTP status).
 Payload = Tuple[bytes, str, int]
 
+#: Largest ``POST`` body accepted (413 above it, before reading any
+#: of it); a 32-job ``/submit`` batch is about 4 KB.
+MAX_POST_BODY_BYTES = 1 << 20
+
 #: Keys a ``/submit`` job spec may carry (anything else is rejected —
 #: silent typos would otherwise become silently-default jobs).
 _SPEC_KEYS = frozenset({
@@ -182,27 +186,32 @@ class _LiveHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-live/1.0"
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        monitor: "LiveMonitor" = self.server.monitor  # type: ignore
-        path = self.path.split("?", 1)[0].rstrip("/") or "/dashboard"
-        payload = monitor.payload(path)
-        if payload is None:
-            body = b"not found; endpoints: /metrics /healthz " \
-                   b"/snapshot.json /dashboard\n"
-            self.send_response(404)
-            self.send_header("Content-Type", "text/plain; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-            return
+    def _reply(self, payload: Payload, counted: bool = True) -> None:
+        """Send one response, tallied before any byte goes out (a
+        client that read the body must see it counted)."""
         body, content_type, status = payload
+        if counted:
+            monitor = self.server.monitor  # type: ignore
+            with monitor._lock:
+                monitor.requests_served += 1
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.send_header("Cache-Control", "no-store")
         self.end_headers()
         self.wfile.write(body)
-        monitor.requests_served += 1
+
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
+        monitor: "LiveMonitor" = self.server.monitor  # type: ignore
+        path = self.path.split("?", 1)[0].rstrip("/") or "/dashboard"
+        payload = monitor.payload(path)
+        if payload is None:
+            self._reply((b"not found; endpoints: /metrics /healthz "
+                         b"/snapshot.json /dashboard\n",
+                         "text/plain; charset=utf-8", 404),
+                        counted=False)
+            return
+        self._reply(payload)
 
     # ------------------------------------------------------------------
     # write endpoints (validate + enqueue only; engine does the work)
@@ -210,27 +219,28 @@ class _LiveHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         monitor: "LiveMonitor" = self.server.monitor  # type: ignore
         path = self.path.split("?", 1)[0].rstrip("/")
+        # Fail closed before reading (a negative length would block).
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            length = 0
+            length = -1
+        if not 0 <= length <= MAX_POST_BODY_BYTES:
+            self._reply(LiveMonitor._json_payload(
+                {"error": f"Content-Length must be an integer in "
+                          f"0..{MAX_POST_BODY_BYTES}"},
+                400 if length < 0 else 413))
+            return
         raw = self.rfile.read(length) if length else b""
         if path == "/submit":
-            body, content_type, status = monitor.handle_submit(raw)
+            payload = monitor.handle_submit(raw)
         elif path == "/checkpoint":
-            body, content_type, status = monitor.handle_checkpoint(raw)
+            payload = monitor.handle_checkpoint(raw)
         elif path == "/fork":
-            body, content_type, status = monitor.handle_fork(raw)
+            payload = monitor.handle_fork(raw)
         else:
-            body = (b"not found; POST endpoints: /submit /checkpoint "
-                    b"/fork\n")
-            content_type, status = "text/plain; charset=utf-8", 404
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        monitor.requests_served += 1
+            payload = (b"not found; POST endpoints: /submit /checkpoint "
+                       b"/fork\n", "text/plain; charset=utf-8", 404)
+        self._reply(payload)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # scrapes must not spam the run's stdout

@@ -55,7 +55,7 @@ from typing import Any, Dict, List, Optional
 MAGIC = "repro-checkpoint"
 
 #: Bump on any incompatible change to the envelope or world layout.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class CheckpointError(RuntimeError):

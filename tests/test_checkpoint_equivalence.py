@@ -13,12 +13,13 @@ executed-event count.  Three layers of pins:
 * **fuzz property** — hypothesis drives (seed, fault_seed, checkpoint
   time); identity must hold at any cut point, not just the curated
   one;
-* **golden fixture** — ``tests/golden/checkpoint_v1.ckpt`` is a
-  committed schema-1 snapshot; it must keep restoring to the pinned
-  summary in ``tests/golden/checkpoint_v1_summary.json``, and
-  unknown/newer schemas must fail with a clear error *before* any
-  world bytes are unpickled.  Regenerate both (only after a
-  deliberate schema bump) with::
+* **golden fixture** — ``tests/golden/checkpoint_v2.ckpt`` is a
+  committed schema-2 snapshot; it must keep restoring to the pinned
+  summary in ``tests/golden/checkpoint_v2_summary.json``, and
+  unknown/older/newer schemas must fail with a clear error *before*
+  any world bytes are unpickled (``checkpoint_v1.ckpt`` is kept as a
+  real retired-schema file).  Regenerate the current fixture (only
+  after a deliberate schema bump) with::
 
       PYTHONPATH=src python tests/golden/make_checkpoint_fixture.py
 """
@@ -44,8 +45,11 @@ from repro.sim.checkpoint import (MAGIC, SCHEMA_VERSION, CheckpointError,
                                   snapshot_bytes)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
-GOLDEN_CKPT = os.path.join(GOLDEN_DIR, "checkpoint_v1.ckpt")
-GOLDEN_SUMMARY = os.path.join(GOLDEN_DIR, "checkpoint_v1_summary.json")
+GOLDEN_CKPT = os.path.join(GOLDEN_DIR, f"checkpoint_v{SCHEMA_VERSION}.ckpt")
+GOLDEN_SUMMARY = os.path.join(GOLDEN_DIR,
+                              f"checkpoint_v{SCHEMA_VERSION}_summary.json")
+#: A file written by the schema-1 build (before the balance moments).
+RETIRED_CKPT = os.path.join(GOLDEN_DIR, "checkpoint_v1.ckpt")
 
 #: Same all-fault-classes model as tests/test_determinism.py.
 FULL_FAULTS = FaultConfig(mtbf_s=300.0, mttr_s=30.0,
@@ -201,6 +205,11 @@ def test_missing_schema_is_rejected():
         restore_bytes(data)
 
 
+def test_retired_schema_file_is_rejected():
+    with pytest.raises(CheckpointError, match="schema"):
+        load_checkpoint(RETIRED_CKPT)
+
+
 def test_non_checkpoint_bytes_are_rejected():
     with pytest.raises(CheckpointError, match="gzip"):
         restore_bytes(b"definitely not a checkpoint")
@@ -220,8 +229,9 @@ def test_golden_checkpoint_restores_to_pinned_summary():
     assert restored.meta["sim_now"] == pinned["meta"]["sim_now"]
     result = resume(restored)
     assert canonical(result.summary) == pinned["summary"], \
-        "the committed schema-1 checkpoint no longer restores to its " \
-        "pinned summary; if a world-layout change was intentional, " \
+        f"the committed schema-{SCHEMA_VERSION} checkpoint no longer " \
+        "restores to its pinned summary; if a world-layout change was " \
+        "intentional, " \
         "bump SCHEMA_VERSION and regenerate the fixture " \
         "(tests/golden/make_checkpoint_fixture.py)"
     assert result.cluster.sim.event_count == pinned["event_count"]

@@ -3,6 +3,7 @@ paced driving, and agreement between ``/snapshot.json`` and the run
 summary."""
 
 import json
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -111,6 +112,35 @@ class TestLiveMonitorUnit:
         try:
             assert int(port_file.read_text().strip()) == obs.live.port
         finally:
+            obs.close()
+
+    def test_concurrent_requests_are_all_counted(self):
+        """Handler threads tally under the monitor lock: with more
+        clients than cores and a short switch interval, no increment
+        is lost."""
+        obs = ObsSession(record_events=False, serve=0)
+        obs.attach(tiny_cluster())
+        clients, per_client = 8, 20
+
+        def hammer():
+            for _ in range(per_client):
+                fetch(f"{obs.live.url}/healthz")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            before = obs.live.requests_served
+            threads = [threading.Thread(target=hammer)
+                       for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert obs.live.requests_served == \
+                before + clients * per_client
+        finally:
+            sys.setswitchinterval(interval)
             obs.close()
 
     def test_stopped_server_refuses_connections(self):

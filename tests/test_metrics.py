@@ -1,10 +1,13 @@
 """Unit tests for metrics collection, summaries, and reporting."""
 
 import math
+import statistics
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.metrics.collector import ClusterSample, MetricsCollector
+from repro.metrics.collector import (ClusterSample, MetricsCollector,
+                                     job_balance_skew)
 from repro.metrics.report import (
     comparison_table,
     percentage_reduction,
@@ -16,28 +19,52 @@ from repro.scheduling import GLoadSharing
 from helpers import drive, job, tiny_cluster
 
 
+def skew_of(jobs_per_node):
+    """Skew of a counts vector in which reserved (or crashed) nodes
+    hold None, through the integer moments the collector keeps."""
+    counts = [c for c in jobs_per_node if c is not None]
+    return job_balance_skew(len(counts), sum(counts),
+                            sum(c * c for c in counts))
+
+
+def two_pass_skew(counts):
+    """The float two-pass formula the moments replaced."""
+    mean = sum(counts) / len(counts)
+    return math.sqrt(sum((c - mean) ** 2 for c in counts) / len(counts))
+
+
 class TestClusterSample:
-    def make(self, jobs_per_node):
-        return ClusterSample(time=0.0, total_idle_memory_mb=0.0,
-                             jobs_per_node=tuple(jobs_per_node),
-                             num_reserved=0, pending_jobs=0)
+    """Job-balance skew of one counts vector."""
 
     def test_skew_zero_for_balanced(self):
-        assert self.make([2, 2, 2, 2]).job_balance_skew == 0.0
+        assert skew_of([2, 2, 2, 2]) == 0.0
 
     def test_skew_population_std(self):
-        sample = self.make([0, 4])
-        assert sample.job_balance_skew == pytest.approx(2.0)
+        assert skew_of([0, 4]) == pytest.approx(2.0)
 
     def test_skew_excludes_reserved_nodes(self):
         """The paper computes the skew among non-reserved workstations."""
-        with_reserved = self.make([2, 2, None, 10])
-        without = self.make([2, 2, 10])
-        assert (with_reserved.job_balance_skew
-                == pytest.approx(without.job_balance_skew))
+        assert skew_of([2, 2, None, 10]) == pytest.approx(
+            skew_of([2, 2, 10]))
 
     def test_skew_all_reserved(self):
-        assert self.make([None, None]).job_balance_skew == 0.0
+        assert skew_of([None, None]) == 0.0
+
+    @given(st.lists(st.integers(min_value=0, max_value=10_000),
+                    min_size=1, max_size=300))
+    def test_skew_within_one_ulp_of_pstdev(self, counts):
+        expected = statistics.pstdev(counts)
+        assert abs(skew_of(counts) - expected) <= math.ulp(expected)
+
+    @given(st.integers(min_value=0, max_value=10).flatmap(
+        lambda k: st.lists(st.integers(min_value=0, max_value=64),
+                           min_size=2 ** k, max_size=2 ** k)))
+    def test_skew_bit_identical_to_two_pass_for_power_of_two_n(
+            self, counts):
+        """With n a power of two <= 1024 and counts <= 64 every
+        intermediate of the two-pass formula is exact, so both give
+        the correctly rounded square root of the same variance."""
+        assert skew_of(counts) == two_pass_skew(counts)
 
 
 class TestCollector:
@@ -176,7 +203,8 @@ class TestReport:
 class TestReservedNodeSeconds:
     def make(self, time, num_reserved):
         return ClusterSample(time=time, total_idle_memory_mb=0.0,
-                             jobs_per_node=(0,), num_reserved=num_reserved,
+                             job_balance_skew=0.0,
+                             num_reserved=num_reserved,
                              pending_jobs=0)
 
     def test_uniform_ticks_match_interval_product(self):

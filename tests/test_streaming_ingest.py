@@ -11,6 +11,7 @@ leave a truncated JSONL tail).
 """
 
 import dataclasses
+import http.client
 import json
 import os
 import signal
@@ -19,6 +20,7 @@ import sys
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -27,7 +29,7 @@ from repro.experiments.runner import run_trace
 from repro.experiments.scenario import (SCENARIO_CLUSTER,
                                         build_blocking_trace,
                                         run_blocking_scenario)
-from repro.obs.live import validate_job_spec
+from repro.obs.live import MAX_POST_BODY_BYTES, validate_job_spec
 from repro.obs.session import ObsSession
 from repro.sim.checkpoint import restore_bytes, resume
 from repro.workload.trace import Trace, TraceJob
@@ -300,6 +302,34 @@ class TestPostErrors:
             assert excinfo.value.code == 400
         finally:
             obs.close()
+
+    @staticmethod
+    def raw_post(url, content_length):
+        """POST with a hand-written Content-Length and no body: the
+        server must answer from the header alone."""
+        parts = urllib.parse.urlsplit(url)
+        conn = http.client.HTTPConnection(parts.hostname, parts.port,
+                                          timeout=30)
+        try:
+            conn.putrequest("POST", "/submit")
+            conn.putheader("Content-Length", content_length)
+            conn.endheaders()
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    def test_bad_content_length_is_400(self, unbound_server):
+        for value in ("-1", "lots"):
+            status, reply = self.raw_post(unbound_server.live.url, value)
+            assert status == 400
+            assert "Content-Length" in reply["error"]
+
+    def test_oversized_body_is_413(self, unbound_server):
+        status, reply = self.raw_post(unbound_server.live.url,
+                                      str(MAX_POST_BODY_BYTES + 1))
+        assert status == 413
+        assert str(MAX_POST_BODY_BYTES) in reply["error"]
 
     def test_fork_requires_policy(self):
         obs = ObsSession(record_events=False, serve=0)
