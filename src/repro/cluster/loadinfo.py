@@ -124,30 +124,21 @@ class LoadInfoDirectory:
     """Periodically refreshed cluster-wide load information."""
 
     def __init__(self, sim: Simulator, nodes: List["Workstation"],
+                 state: ClusterState,
                  exchange_interval_s: float = 1.0,
-                 incremental: bool = True,
                  obs: Optional[Channel] = None,
-                 state: Optional[ClusterState] = None,
                  managed: bool = False):
         if exchange_interval_s < 0:
             raise ValueError("exchange_interval_s must be >= 0")
         self._sim = sim
         self._nodes = nodes
-        #: Id-based lookup: a directory may cover a *subset* of the
-        #: cluster (a domain shard), so node ids are not list indexes.
-        self._node_by_id: Dict[int, "Workstation"] = {
-            node.node_id: node for node in nodes}
-        #: Columnar cluster state; when present, snapshot collection
-        #: and candidate keys read the published columns (array loads
-        #: over dirty node ids) instead of per-object property calls.
+        #: Columnar cluster state: snapshot collection and candidate
+        #: keys read the published columns (array loads over dirty
+        #: node ids), never per-object properties.
         self._state = state
         #: ``loadinfo.exchange`` obs channel (disabled by default).
         self.obs = obs if obs is not None else NULL_CHANNEL
         self.exchange_interval_s = exchange_interval_s
-        #: When False every exchange round re-collects all N nodes,
-        #: reproducing the seed directory exactly (used by the
-        #: unindexed fallback so benchmarks compare real baselines).
-        self.incremental = incremental
         self._snapshots: Dict[int, NodeSnapshot] = {}
         #: Fault-injection hook consulted once per refreshed node each
         #: exchange round: ``hook(node_id) -> (action, delay_s)`` with
@@ -199,37 +190,36 @@ class LoadInfoDirectory:
         out field-identical, so skipping it is free.
         """
         self.refreshes += 1
-        if not self._snapshots or not self.incremental:
-            changed_nodes = self._nodes
+        if not self._snapshots:
+            changed = [node.node_id for node in self._nodes]
         elif self._dirty:
-            changed_nodes = [self._node_by_id[node_id]
-                             for node_id in sorted(self._dirty)]
+            changed = sorted(self._dirty)
         else:
             return
         self._dirty.clear()
         order_moved = False
         hook = self.fault_hook
         dropped = delayed = 0
-        for node in changed_nodes:
+        for node_id in changed:
             if hook is not None:
-                action, delay_s = hook(node.node_id)
+                action, delay_s = hook(node_id)
                 if action == "drop":
                     # The update was lost: the node stays dirty so the
                     # next round retries it.
-                    self._dirty.add(node.node_id)
+                    self._dirty.add(node_id)
                     dropped += 1
                     continue
                 if action == "delay":
-                    snap = self._snapshot_of(node)
+                    snap = self._snapshot_of(node_id)
                     self._sim.schedule(
                         delay_s,
                         functools.partial(self._apply_delayed, snap),
                         priority=2, daemon=True)
                     delayed += 1
                     continue
-            snap = self._snapshot_of(node)
+            snap = self._snapshot_of(node_id)
             self._publish(snap)
-            order_moved |= self._reposition(snap.node_id,
+            order_moved |= self._reposition(node_id,
                                             self._snapshot_keys(snap))
         if order_moved:
             self.order_version += 1
@@ -237,12 +227,12 @@ class LoadInfoDirectory:
         if obs.enabled:
             if hook is not None:
                 obs.emit(self._sim.now, "exchange",
-                         refreshed=len(changed_nodes),
+                         refreshed=len(changed),
                          order_moved=order_moved, round=self.refreshes,
                          dropped=dropped, delayed=delayed)
             else:
                 obs.emit(self._sim.now, "exchange",
-                         refreshed=len(changed_nodes),
+                         refreshed=len(changed),
                          order_moved=order_moved, round=self.refreshes)
 
     def _apply_delayed(self, snap: NodeSnapshot) -> None:
@@ -254,41 +244,27 @@ class LoadInfoDirectory:
         node that has crashed since collection is discarded (the
         eviction wins).
         """
-        if not self._node_by_id[snap.node_id].alive:
+        if not self._state.flags[snap.node_id] & FLAG_ALIVE:
             return
         self._publish(snap)
         if self._reposition(snap.node_id, self._snapshot_keys(snap)):
             self.order_version += 1
 
-    def _snapshot_of(self, node: "Workstation") -> NodeSnapshot:
+    def _snapshot_of(self, node_id: int) -> NodeSnapshot:
         state = self._state
-        if state is not None:
-            node_id = node.node_id
-            bits = state.flags[node_id]
-            alive = bool(bits & FLAG_ALIVE)
-            return NodeSnapshot(
-                node_id=node_id,
-                num_jobs=((state.num_running[node_id]
-                           + state.inbound_jobs[node_id]) if alive else 0),
-                idle_memory_mb=state.idle_memory_mb[node_id],
-                total_demand_mb=state.total_demand_mb[node_id],
-                fault_rate_per_s=state.fault_rate_per_s[node_id],
-                accepting=bool(bits & FLAG_ACCEPTING),
-                timestamp=self._sim.now,
-                alive=alive,
-                thrashing=alive and bool(bits & FLAG_THRASHING),
-            )
-        alive = node.alive
+        bits = state.flags[node_id]
+        alive = bool(bits & FLAG_ALIVE)
         return NodeSnapshot(
-            node_id=node.node_id,
-            num_jobs=node.committed_jobs if alive else 0,
-            idle_memory_mb=node.idle_memory_mb,
-            total_demand_mb=node.total_demand_mb,
-            fault_rate_per_s=node.fault_rate_per_s,
-            accepting=node.accepting,
+            node_id=node_id,
+            num_jobs=((state.num_running[node_id]
+                       + state.inbound_jobs[node_id]) if alive else 0),
+            idle_memory_mb=state.idle_memory_mb[node_id],
+            total_demand_mb=state.total_demand_mb[node_id],
+            fault_rate_per_s=state.fault_rate_per_s[node_id],
+            accepting=bool(bits & FLAG_ACCEPTING),
             timestamp=self._sim.now,
             alive=alive,
-            thrashing=alive and node.thrashing,
+            thrashing=alive and bool(bits & FLAG_THRASHING),
         )
 
     def _publish(self, snap: NodeSnapshot) -> None:
@@ -314,32 +290,23 @@ class LoadInfoDirectory:
                          if snap.accepting else None)
         return accepting_key, (snap.num_jobs, snap.node_id)
 
-    def _live_keys(self, node: "Workstation"
+    def _live_keys(self, node_id: int
                    ) -> Tuple[Optional[tuple], Optional[tuple]]:
         state = self._state
-        if state is not None:
-            node_id = node.node_id
-            bits = state.flags[node_id]
-            if not bits & FLAG_ALIVE:
-                return None, None
-            num_jobs = (state.num_running[node_id]
-                        + state.inbound_jobs[node_id])
-            accepting_key = ((-state.idle_memory_mb[node_id], num_jobs,
-                              node_id) if bits & FLAG_ACCEPTING else None)
-            return accepting_key, (num_jobs, node_id)
-        if not node.alive:
+        bits = state.flags[node_id]
+        if not bits & FLAG_ALIVE:
             return None, None
-        num_jobs = node.committed_jobs
-        accepting_key = ((-node.idle_memory_mb, num_jobs, node.node_id)
-                         if node.accepting else None)
-        return accepting_key, (num_jobs, node.node_id)
+        num_jobs = state.num_running[node_id] + state.inbound_jobs[node_id]
+        accepting_key = ((-state.idle_memory_mb[node_id], num_jobs,
+                          node_id) if bits & FLAG_ACCEPTING else None)
+        return accepting_key, (num_jobs, node_id)
 
-    def _keys_of(self, node: "Workstation") -> Tuple[Optional[tuple], tuple]:
+    def _keys_of(self, node_id: int) -> Tuple[Optional[tuple], tuple]:
         """Key pair (accepting order, load order) under the directory's
         staleness regime."""
         if self.exchange_interval_s == 0:
-            return self._live_keys(node)
-        return self._snapshot_keys(self._snapshots[node.node_id])
+            return self._live_keys(node_id)
+        return self._snapshot_keys(self._snapshots[node_id])
 
     def _reposition(self, node_id: int,
                     keys: Tuple[Optional[tuple], tuple]) -> bool:
@@ -356,7 +323,7 @@ class LoadInfoDirectory:
         the active orders immediately; periodic mode just marks it
         dirty for the next exchange round."""
         if self.exchange_interval_s == 0:
-            if self._reposition(node.node_id, self._live_keys(node)):
+            if self._reposition(node.node_id, self._live_keys(node.node_id)):
                 self.order_version += 1
         else:
             self._dirty.add(node.node_id)
@@ -374,18 +341,17 @@ class LoadInfoDirectory:
         stale reads also see the node as gone.
         """
         if self.exchange_interval_s != 0:
-            self._publish(self._snapshot_of(self._node_by_id[node_id]))
+            self._publish(self._snapshot_of(node_id))
             self._dirty.discard(node_id)
         if self._reposition(node_id, (None, None)):
             self.order_version += 1
 
     def readmit(self, node_id: int) -> None:
         """Put a recovered node back into the candidate orders."""
-        node = self._node_by_id[node_id]
         if self.exchange_interval_s != 0:
-            self._publish(self._snapshot_of(node))
+            self._publish(self._snapshot_of(node_id))
             self._dirty.discard(node_id)
-        if self._reposition(node_id, self._keys_of(node)):
+        if self._reposition(node_id, self._keys_of(node_id)):
             self.order_version += 1
 
     def accepting_ids(self) -> List[int]:
@@ -394,7 +360,7 @@ class LoadInfoDirectory:
         list, without the per-call rebuild."""
         if self._accepting_order is None:
             self._accepting_order = _CandidateOrder(
-                (node.node_id, self._keys_of(node)[0])
+                (node.node_id, self._keys_of(node.node_id)[0])
                 for node in self._nodes)
             self.order_version += 1
         return self._accepting_order.ids()
@@ -403,7 +369,7 @@ class LoadInfoDirectory:
         """All live node ids ordered by (job count asc, node id)."""
         if self._load_order is None:
             self._load_order = _CandidateOrder(
-                (node.node_id, self._keys_of(node)[1])
+                (node.node_id, self._keys_of(node.node_id)[1])
                 for node in self._nodes)
             self.order_version += 1
         return self._load_order.ids()
@@ -446,7 +412,7 @@ class LoadInfoDirectory:
     def snapshot(self, node_id: int) -> NodeSnapshot:
         """The current view of ``node_id`` (live when period is 0)."""
         if self.exchange_interval_s == 0:
-            return self._snapshot_of(self._node_by_id[node_id])
+            return self._snapshot_of(node_id)
         return self._snapshots[node_id]
 
     def snapshots(self) -> List[NodeSnapshot]:

@@ -13,7 +13,7 @@ calls per tick (the storage layout the obs sampler already proved).
 Ownership contract:
 
 * every :class:`~repro.cluster.workstation.Workstation` *writes
-  through* to its row (``sync_row`` / the flag helpers) whenever its
+  through* to its row (``Workstation._sync_row``) whenever its
   externally visible state changes — the same instants it notifies its
   change listeners — so a column always equals what the corresponding
   property would return;
@@ -27,14 +27,13 @@ Ownership contract:
   nodes — by counting the row's old values out and its new values in
   (:meth:`move_balance`), so the collector's job-balance skew is O(1).
 
-The low three flag bits deliberately match
-:mod:`repro.obs.sampler`'s ``FLAG_ALIVE``/``FLAG_RESERVED``/
-``FLAG_THRASHING`` packing, which lets the sampler copy flag rows with
-one ``bytes.translate`` instead of re-deriving bits per node.
+The obs sampler stores the low three flag bits (alive, reserved,
+thrashing) per sample, copying a whole flag row with one
+``bytes.translate``.
 
-``ClusterConfig.columnar = False`` disables the layer entirely (no
-state object is built); every consumer then falls back to the
-per-object path, which the differential tests pin byte-identical.
+Every cluster builds one state; it is the only per-node state the
+batch consumers read.  ``tests/test_balance_moments.py`` checks the
+columns against the object API after every kind of mutation.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from __future__ import annotations
 from array import array
 from typing import List, Tuple
 
-#: Flag bits of one node's ``flags`` byte.  The low three bits match
-#: the obs sampler's packing (see module docstring).
+#: Flag bits of one node's ``flags`` byte.  The obs sampler keeps the
+#: low three (see module docstring).
 FLAG_ALIVE = 1
 FLAG_RESERVED = 2
 FLAG_THRASHING = 4

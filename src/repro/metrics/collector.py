@@ -5,17 +5,15 @@ active jobs in each workstation every second (§4.1-4.2), and verifies
 that the averages are insensitive to the sampling interval (we expose
 the interval so the benchmark suite can repeat that check).
 
-Each sample keeps only scalars.  The job-balance skew comes from
-three exact integer moments of the running-job counts among alive,
-non-reserved workstations, ``(n, Σc, Σc²)``, via
-:func:`job_balance_skew`.  The columnar
-:class:`~repro.cluster.state.ClusterState` keeps those moments at its
+Each sample keeps only scalars, read from the cluster's columnar
+:class:`~repro.cluster.state.ClusterState`.  The job-balance skew
+comes from three exact integer moments of the running-job counts among
+alive, non-reserved workstations, ``(n, Σc, Σc²)``, via
+:func:`job_balance_skew`.  The state keeps those moments at its
 write-through, so the skew is O(1) however many nodes there are; the
 collector also re-reads the idle-memory column and reserved flags only
 on ticks after some node changed (a clean tick reuses the previous
-values: same inputs, same arithmetic).  The per-object path
-(``columnar=False``) walks the nodes for the same ints and sums, so
-both paths produce the same floats.
+values: same inputs, same arithmetic).
 """
 
 from __future__ import annotations
@@ -89,18 +87,17 @@ class MetricsCollector:
         self.pending_probe = pending_probe
         self.samples: List[ClusterSample] = []
         self._state = cluster.state
-        if self._state is not None:
-            # Change-driven caching: any externally visible node change
-            # flags the next tick for recomputation; clean ticks reuse
-            # the previous components verbatim.  The pending-queue
-            # length is NOT cached — enqueueing a pending job causes
-            # no node change, so it is probed fresh every tick.
-            self._dirty = True
-            self._cached_idle = 0.0
-            self._cached_skew = 0.0
-            self._cached_reserved = 0
-            for node in cluster.nodes:
-                node.add_change_listener(self._mark_dirty)
+        # Change-driven caching: any externally visible node change
+        # flags the next tick for recomputation; clean ticks reuse the
+        # previous components verbatim.  The pending-queue length is
+        # NOT cached — enqueueing a pending job causes no node change,
+        # so it is probed fresh every tick.
+        self._dirty = True
+        self._cached_idle = 0.0
+        self._cached_skew = 0.0
+        self._cached_reserved = 0
+        for node in cluster.nodes:
+            node.add_change_listener(self._mark_dirty)
         self._schedule()
 
     def _schedule(self) -> None:
@@ -115,35 +112,12 @@ class MetricsCollector:
         self._dirty = True
 
     def sample(self) -> ClusterSample:
-        """Take one sample immediately (also used by tests)."""
-        if self._state is not None:
-            return self._sample_columnar()
-        cluster = self.cluster
-        counts = [node.num_running for node in cluster.nodes
-                  if node.alive and not node.reserved]
-        pending = self.pending_probe() if self.pending_probe else 0
-        sample = ClusterSample(
-            time=cluster.sim.now,
-            total_idle_memory_mb=cluster.total_idle_memory_mb(),
-            job_balance_skew=job_balance_skew(
-                len(counts), sum(counts), sum(c * c for c in counts)),
-            num_reserved=len(cluster.reserved_nodes()),
-            pending_jobs=pending,
-        )
-        self.samples.append(sample)
-        return sample
+        """Take one sample immediately (also used by tests).
 
-    def _sample_columnar(self) -> ClusterSample:
-        """Columnar sample: recompute components from the state
-        columns and balance moments only when a node changed since the
-        last sample.
-
-        Equivalence with the per-object path is exact: columns hold
-        the property values bit-for-bit (written at the same change
-        instants), the idle-memory sum runs in the same node order,
-        the moments are the same exact ints, and a clean tick's reused
-        components are what recomputation would produce (no node
-        changed, so no input changed).
+        Components are recomputed from the state columns and balance
+        moments only when a node changed since the last sample; a
+        clean tick's reused components are what recomputation would
+        produce (no node changed, so no input changed).
         """
         state = self._state
         if self._dirty:

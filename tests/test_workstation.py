@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.config import ClusterConfig, WorkstationSpec
 from repro.cluster.job import Job, JobState, MemoryProfile
 from repro.cluster.memory import PagingModel
+from repro.cluster.state import ClusterState
 from repro.cluster.workstation import Workstation
 from repro.sim import Simulator
 
@@ -21,7 +22,7 @@ def make_node(sim, memory_mb=384.0, on_finish=None, **config_kwargs):
     paging = PagingModel(alpha=config.residency_alpha,
                          max_fault_rate_per_cpu_s=config.max_fault_rate_per_cpu_s,
                          fault_service_s=config.fault_service_s)
-    return Workstation(sim, 0, config.spec, config, paging,
+    return Workstation(sim, 0, config.spec, config, paging, ClusterState(1),
                        on_job_finished=on_finish)
 
 
