@@ -33,3 +33,33 @@ def drive(policy, jobs):
     sim = policy.cluster.sim
     for j in jobs:
         sim.schedule_at(j.submit_time, lambda j=j: policy.submit(j))
+
+
+#: Flag bits of a state row, in the order :func:`object_row` reads the
+#: matching ``Workstation`` properties.
+ROW_FLAGS = ("alive", "reserved", "thrashing", "accepting",
+             "has_starving_job")
+
+
+def state_row(state, node_id):
+    """One node's row of the cluster's columnar state, in the shape of
+    :func:`object_row`."""
+    from repro.cluster.state import (FLAG_ACCEPTING, FLAG_ALIVE,
+                                     FLAG_RESERVED, FLAG_STARVING,
+                                     FLAG_THRASHING)
+
+    bits = state.flags[node_id]
+    return (state.idle_memory_mb[node_id], state.total_demand_mb[node_id],
+            state.fault_rate_per_s[node_id], state.num_running[node_id],
+            state.inbound_jobs[node_id],
+            [bool(bits & flag) for flag in (
+                FLAG_ALIVE, FLAG_RESERVED, FLAG_THRASHING,
+                FLAG_ACCEPTING, FLAG_STARVING)])
+
+
+def object_row(node):
+    """The quantities a state row holds, read through the node's
+    object API (the reference the columns must equal)."""
+    return (node.idle_memory_mb, node.total_demand_mb,
+            node.fault_rate_per_s, node.num_running, node.inbound_jobs,
+            [getattr(node, name) for name in ROW_FLAGS])
