@@ -130,17 +130,13 @@ class DomainDirectory:
                                     Tuple[int, List[int]]] = {}
         self._load_cache: Dict[Optional[int], Tuple[int, List[int]]] = {}
         if exchange_interval_s > 0:
-            self._schedule_exchange()
+            sim.every(exchange_interval_s, self._exchange_tick, priority=2)
         if summary_interval_s > 0:
-            self._schedule_summary()
+            sim.every(summary_interval_s, self._summary_tick, priority=2)
 
     # ------------------------------------------------------------------
     # periodic activities
     # ------------------------------------------------------------------
-    def _schedule_exchange(self) -> None:
-        self._sim.schedule(self.exchange_interval_s, self._exchange_tick,
-                           priority=2, daemon=True)
-
     def _exchange_tick(self) -> None:
         # A shard with no dirty nodes would no-op its refresh; skip
         # the call entirely — K no-op calls per round add up at 10k
@@ -148,15 +144,9 @@ class DomainDirectory:
         for shard in self._shards:
             if shard._dirty or not shard._snapshots:
                 shard.refresh()
-        self._schedule_exchange()
-
-    def _schedule_summary(self) -> None:
-        self._sim.schedule(self.summary_interval_s, self._summary_tick,
-                           priority=2, daemon=True)
 
     def _summary_tick(self) -> None:
         self._refresh_summaries(emit=True)
-        self._schedule_summary()
 
     def _refresh_summaries(self, emit: bool) -> int:
         """Recompute all K summaries from the shards' published

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -65,6 +66,17 @@ class MemoryProfile:
         if phases[0].start_progress != 0.0:
             raise ValueError("first phase must start at progress 0")
         self._phases: Tuple[Phase, ...] = tuple(phases)
+        #: Phase starts and demands as flat tuples, so the lookups
+        #: below are one C bisection.
+        self._starts: Tuple[float, ...] = tuple(starts)
+        self._demands: Tuple[float, ...] = tuple(
+            p.demand_mb for p in phases)
+
+    def __reduce__(self):
+        # Pickle the phases only: the lookup tuples share the phases'
+        # float objects in memory, but a pickle would store (and an
+        # unpickle allocate) every float twice more.
+        return MemoryProfile, (self._phases,)
 
     @classmethod
     def constant(cls, demand_mb: float) -> "MemoryProfile":
@@ -92,20 +104,16 @@ class MemoryProfile:
     _TOL = 1e-9
 
     def demand_at(self, progress: float) -> float:
-        """Memory demand (MB) at a given CPU progress."""
-        demand = self._phases[0].demand_mb
-        for phase in self._phases:
-            if phase.start_progress > progress + self._TOL:
-                break
-            demand = phase.demand_mb
-        return demand
+        """Memory demand (MB) at a given CPU progress: that of the last
+        phase starting at or before ``progress`` (within ``_TOL``)."""
+        index = bisect_right(self._starts, progress + self._TOL)
+        return self._demands[index - 1 if index else 0]
 
     def next_boundary(self, progress: float) -> Optional[float]:
         """The next phase start strictly after ``progress``, if any."""
-        for phase in self._phases:
-            if phase.start_progress > progress + self._TOL:
-                return phase.start_progress
-        return None
+        starts = self._starts
+        index = bisect_right(starts, progress + self._TOL)
+        return starts[index] if index < len(starts) else None
 
 
 @dataclass

@@ -171,16 +171,11 @@ class LoadInfoDirectory:
             # scheduling to its owning DomainDirectory: one exchange
             # event per round drives all K shards.
             if not managed:
-                self._schedule_next()
+                sim.every(exchange_interval_s, self._tick, priority=2)
 
     # ------------------------------------------------------------------
-    def _schedule_next(self) -> None:
-        self._sim.schedule(self.exchange_interval_s, self._tick, priority=2,
-                           daemon=True)
-
     def _tick(self) -> None:
         self.refresh()
-        self._schedule_next()
 
     def refresh(self) -> None:
         """Collect fresh snapshots (one exchange round).

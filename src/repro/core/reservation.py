@@ -119,6 +119,8 @@ class ReservationManager:
         self.mode = mode
         self.max_reserved = max_reserved
         self.reserve_timeout_s = reserve_timeout_s
+        #: Active reservations by node id; cancel, release and crash
+        #: abort all pop their entry (``_close``).
         self._by_node: Dict[int, Reservation] = {}
         self.history: List[Reservation] = []
         self.timeline: List[ReservationEvent] = []
@@ -134,11 +136,11 @@ class ReservationManager:
     # ------------------------------------------------------------------
     @property
     def active_reservations(self) -> List[Reservation]:
-        return [r for r in self._by_node.values() if r.active]
+        return list(self._by_node.values())
 
     @property
     def num_reserved(self) -> int:
-        return len(self.active_reservations)
+        return len(self._by_node)
 
     def can_reserve(self) -> bool:
         return self.num_reserved < self.max_reserved
@@ -151,13 +153,28 @@ class ReservationManager:
     def serving_reservation_with_capacity(self, job: Job
                                           ) -> Optional[Reservation]:
         """The paper's reuse path: an existing reserved workstation
-        with enough available resources for ``job``."""
-        candidates = [r for r in self.active_reservations
-                      if r.state is ReservationState.SERVING
-                      and r.has_capacity_for(job)]
-        if not candidates:
+        with enough available resources for ``job``; the first with
+        the most idle memory wins.  One pass over ``_by_node``, which
+        holds active reservations only (every close path pops it).
+
+        ``has_capacity_for`` needs ``idle_memory_mb >= demand - 1e-9``
+        and the state column holds that property bit for bit, so when
+        no node at all has that much idle memory the answer is None
+        without visiting a reservation.
+        """
+        if (max(self.cluster.state.idle_memory_mb)
+                < job.current_demand_mb - 1e-9):
             return None
-        return max(candidates, key=lambda r: r.node.idle_memory_mb)
+        best = None
+        best_idle = 0.0
+        for reservation in self._by_node.values():
+            if (reservation.state is ReservationState.SERVING
+                    and reservation.has_capacity_for(job)):
+                idle = reservation.node.idle_memory_mb
+                if best is None or idle > best_idle:
+                    best = reservation
+                    best_idle = idle
+        return best
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -220,8 +237,10 @@ class ReservationManager:
 
     def _close(self, reservation: Reservation, kind: str) -> None:
         node = reservation.node
-        node.reserved = False
+        # Pop before the flag flips: node-change listeners then already
+        # see the reservation gone.
         self._by_node.pop(node.node_id, None)
+        node.reserved = False
         self._log(kind, reservation)
         self.cluster.notify_node_changed(node)
 

@@ -98,15 +98,10 @@ class MetricsCollector:
         self._cached_reserved = 0
         for node in cluster.nodes:
             node.add_change_listener(self._mark_dirty)
-        self._schedule()
-
-    def _schedule(self) -> None:
-        self.cluster.sim.schedule(self.sample_interval_s, self._tick,
-                                  priority=4, daemon=True)
+        cluster.sim.every(self.sample_interval_s, self._tick, priority=4)
 
     def _tick(self) -> None:
         self.sample()
-        self._schedule()
 
     def _mark_dirty(self, node) -> None:
         self._dirty = True

@@ -281,6 +281,10 @@ class LiveMonitor:
         # services between slices.
         self._control_lock = threading.Lock()
         self._control_queue: List[_ControlRequest] = []
+        #: One /fork replay at a time: a second request while one is
+        #: in flight is answered 429 instead of starting another
+        #: whole-world replay.
+        self._fork_slot = threading.Lock()
 
     # ------------------------------------------------------------------
     # server lifecycle
@@ -505,8 +509,8 @@ class LiveMonitor:
             return self._json_payload({"error": error}, status)
         if path is None:
             return data, "application/octet-stream", 200
-        from repro.sim.checkpoint import _decode_envelope
-        meta = _decode_envelope(data)["meta"]
+        from repro.sim.checkpoint import _decode_header
+        meta = _decode_header(data)[0]["meta"]
         try:
             with open(path, "wb") as stream:
                 stream.write(data)
@@ -525,6 +529,18 @@ class LiveMonitor:
             return self._json_payload(
                 {"error": "body must be a JSON object naming a "
                           "'policy' to fork to"}, 400)
+        if not self._fork_slot.acquire(blocking=False):
+            return self._json_payload(
+                {"error": "a fork is already running; retry once it "
+                          "has answered"}, 429)
+        try:
+            return self._fork(body)
+        finally:
+            self._fork_slot.release()
+
+    def _fork(self, body: dict) -> Payload:
+        """Snapshot the live world and replay it under ``body``'s
+        policy (the caller holds the fork slot)."""
         data, error, status = self._request_snapshot()
         if data is None:
             return self._json_payload({"error": error}, status)

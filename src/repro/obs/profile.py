@@ -29,10 +29,14 @@ wall time accounted) meaningful rather than decorative.
 
 Wrapping is per-instance (an instance attribute shadows the class
 method) and only happens when profiling is requested, so the
-no-profiling hot path is untouched.  Timing uses
-``time.perf_counter`` only — the simulation clock and event order are
-never consulted or altered, preserving the determinism invariant
-(checked by ``profile_bench``: summary identical modulo ``obs.*``).
+no-profiling hot path is untouched.  Periodic daemons registered with
+``Simulator.every`` hold the bound tick they were registered with, so
+:meth:`EngineProfiler.attach` also points their heap handles at the
+timed wrappers (and :meth:`EngineProfiler.detach` points them back).
+Timing uses ``time.perf_counter`` only — the simulation clock and
+event order are never consulted or altered, preserving the
+determinism invariant (checked by ``profile_bench``: summary
+identical modulo ``obs.*``).
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ class EngineProfiler:
         self.engine_wall_s = 0.0
         self._stack: List[list] = []  # [phase, start, child_seconds]
         self._wrapped: List[Tuple[object, str]] = []
+        #: (periodic handle, tick it held before attach)
+        self._retargeted: List[Tuple[object, object]] = []
         self._perf = time.perf_counter
 
     # ------------------------------------------------------------------
@@ -122,10 +128,34 @@ class EngineProfiler:
             self.wrap_method(policy, "_monitor_tick", "reconfiguration")
         for obj, attr in extra_ticks:
             self.wrap_method(obj, attr, "obs")
+        self._retarget_ticks(cluster.sim)
         return self
+
+    def _retarget_ticks(self, sim: "Simulator") -> None:
+        """Point each periodic handle whose tick was just wrapped at
+        its timed wrapper."""
+
+        def key(method):
+            return (id(getattr(method, "__self__", None)),
+                    id(getattr(method, "__func__", method)))
+
+        timed = {}
+        for obj, attr in self._wrapped:
+            wrapper = getattr(obj, attr)
+            timed[key(wrapper.__wrapped__)] = wrapper
+        for handle in sim.periodic_handles():
+            tick = handle.callback
+            wrapper = timed.get(key(tick))
+            if wrapper is not None:
+                self._retargeted.append((handle, tick))
+                handle.callback = wrapper
 
     def detach(self) -> None:
         """Remove every wrapper (the shadowed class methods resume)."""
+        for handle, tick in self._retargeted:
+            if handle.pending:
+                handle.callback = tick
+        self._retargeted.clear()
         for obj, attr in self._wrapped:
             try:
                 delattr(obj, attr)

@@ -78,16 +78,15 @@ class ClusterSampler:
         if self._started:
             return self
         self._started = True
-        self._tick()
-        return self
-
-    def _tick(self) -> None:
         self.sample()
         # priority 5: after every state change at the same instant
         # (monitors run at 3, the metrics collector at 4), so a sample
         # at time t sees the post-update state of t.
-        self.cluster.sim.schedule(self.period_s, self._tick,
-                                  priority=5, daemon=True)
+        self.cluster.sim.every(self.period_s, self._tick, priority=5)
+        return self
+
+    def _tick(self) -> None:
+        self.sample()
 
     def sample(self) -> None:
         """Append one snapshot row for every node (also usable

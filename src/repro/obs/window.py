@@ -258,8 +258,7 @@ class WindowAggregator:
         bus.subscribe("reconfig.blocking", self._on_blocking)
         bus.subscribe("loadinfo.exchange", self._on_exchange)
         bus.subscribe("loadinfo.domain", self._on_domain)
-        cluster.sim.schedule(self.window_s, self._tick,
-                             priority=TICK_PRIORITY, daemon=True)
+        cluster.sim.every(self.window_s, self._tick, priority=TICK_PRIORITY)
         return self
 
     def add_observer(self, observer: WindowObserver) -> None:
@@ -321,12 +320,9 @@ class WindowAggregator:
     # window tick
     # ------------------------------------------------------------------
     def _tick(self) -> None:
-        sim = self.cluster.sim
-        snapshot = self._close_window(sim.now)
+        snapshot = self._close_window(self.cluster.sim.now)
         for observer in self._observers:
             observer(snapshot)
-        sim.schedule(self.window_s, self._tick,
-                     priority=TICK_PRIORITY, daemon=True)
 
     def _close_window(self, now: float) -> dict:
         for counter in self.counters.values():

@@ -30,7 +30,7 @@ from collections import deque
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.job import Job, JobState
-from repro.cluster.workstation import Workstation
+from repro.cluster.workstation import _EPS, Workstation
 
 
 class _TransferArrival:
@@ -137,12 +137,12 @@ class LoadSharingPolicy:
         self._obs_job = cluster.obs.channel("cluster.job")
         if cluster.faults is not None:
             cluster.faults.policy = self
-        #: Handle of the next monitor tick, kept so :meth:`retire` can
-        #: cancel it when a checkpoint fork replaces this policy.
-        self._monitor_event = None
         self._retired = False
         cluster.on_node_changed(self._on_node_changed)
-        self._schedule_monitor()
+        #: The periodic monitor, kept so :meth:`retire` can cancel it
+        #: when a checkpoint fork replaces this policy.
+        self._monitor_event = self.sim.every(
+            self.config.monitor_interval_s, self._monitor_tick, priority=3)
 
     # ------------------------------------------------------------------
     # submission path
@@ -262,11 +262,6 @@ class LoadSharingPolicy:
     # ------------------------------------------------------------------
     # monitoring and migration
     # ------------------------------------------------------------------
-    def _schedule_monitor(self) -> None:
-        self._monitor_event = self.sim.schedule(
-            self.config.monitor_interval_s,
-            self._monitor_tick, priority=3, daemon=True)
-
     def _monitor_tick(self) -> None:
         """Check overloaded nodes once per monitor period.
 
@@ -285,8 +280,6 @@ class LoadSharingPolicy:
                 node = nodes[node_id]
                 if node.thrashing and not node.reserved:
                     self.handle_overload(node)
-        if not self._retired:
-            self._schedule_monitor()
 
     def _migratable(self, job: Job) -> bool:
         """A migration must plausibly pay for itself: the job keeps
@@ -533,7 +526,17 @@ class LoadSharingPolicy:
                                    exclude: Optional[int] = None
                                    ) -> Optional[Workstation]:
         """Qualified destination per [3]: enough idle memory for the
-        job's current demand and a free slot; largest idle memory wins."""
+        job's current demand and a free slot; largest idle memory wins.
+
+        ``accepts_migration`` needs live ``idle_memory_mb >= demand -
+        _EPS``, and the state column holds that property bit for bit:
+        when even the column's maximum falls short no candidate can
+        qualify, so the answer is None without walking the list (the
+        common case — a monitor re-declining the same overload).
+        """
+        if (max(self.cluster.state.idle_memory_mb)
+                < job.current_demand_mb - _EPS):
+            return None
         for node in self.candidates_by_idle_memory(exclude=exclude):
             if node.accepts_migration(job):
                 return node

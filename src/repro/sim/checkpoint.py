@@ -23,12 +23,15 @@ current values are stored alongside and merged (``max``) back on
 restore so jobs created *after* a restore (streamed ingest) cannot
 collide with checkpointed ids.
 
-File format: gzip over a pickled *envelope* dict holding only
-primitives — ``format`` magic, ``schema`` version, a ``meta`` summary,
-and the inner world pickle as opaque bytes.  The envelope is decoded
-and validated *before* the world bytes are unpickled, so an unknown or
-newer schema fails with a clear :class:`CheckpointError` instead of an
-arbitrary unpickling error.
+File format (schema 3): gzip over three parts — a magic line
+(``repro-checkpoint``), one line of JSON header (``format``,
+``schema``, ``meta``), then the world pickle.  The magic line and the
+header are parsed and validated *before* anything is unpickled, so a
+file that is not a checkpoint, or one of an unknown, older or newer
+schema, fails with a clear :class:`CheckpointError` and no pickle
+opcode ever runs.  Schemas 1 and 2 wrapped the header in a pickled
+envelope; such files are recognised by their bytes and refused as
+retired schemas without being unpickled.
 
 Observers are deliberately **not** part of a checkpoint: obs channels
 restore disabled and subscriber-free; a restored run attaches a fresh
@@ -47,15 +50,17 @@ from __future__ import annotations
 import copy
 import gzip
 import itertools
+import json
 import pickle
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-#: File-format magic; rejects arbitrary pickles early.
+#: File-format magic; the first line of every decompressed file.
 MAGIC = "repro-checkpoint"
+_MAGIC_LINE = MAGIC.encode("ascii") + b"\n"
 
-#: Bump on any incompatible change to the envelope or world layout.
-SCHEMA_VERSION = 2
+#: Bump on any incompatible change to the header or world layout.
+SCHEMA_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -119,13 +124,13 @@ def snapshot_bytes(*, cluster, policy, collector, jobs,
             f"simulation state is not picklable: {exc!r}; a scheduled "
             f"callback is probably a closure (see repro.sim.checkpoint)"
         ) from exc
-    envelope = {
+    header = json.dumps({
         "format": MAGIC,
         "schema": SCHEMA_VERSION,
         "meta": _build_meta(cluster, policy, jobs, trace_name),
-        "world": world_bytes,
-    }
-    return gzip.compress(pickle.dumps(envelope, protocol=4), compresslevel=6)
+    }, sort_keys=True).encode("utf-8")
+    return gzip.compress(_MAGIC_LINE + header + b"\n" + world_bytes,
+                         compresslevel=6)
 
 
 def save_checkpoint(path: str, *, cluster, policy, collector, jobs,
@@ -142,37 +147,55 @@ def save_checkpoint(path: str, *, cluster, policy, collector, jobs,
 # ----------------------------------------------------------------------
 # load
 # ----------------------------------------------------------------------
-def _decode_envelope(data: bytes) -> Dict[str, Any]:
-    """Decompress and validate the outer envelope (world untouched)."""
+def _schema_error(schema: Any) -> CheckpointError:
+    return CheckpointError(
+        f"checkpoint schema {schema!r} is not supported by this "
+        f"build (reads schema {SCHEMA_VERSION}); it was written by "
+        f"a different version of repro — re-create the checkpoint "
+        f"with this build or restore it with the matching one")
+
+
+def _decode_header(data: bytes) -> Tuple[Dict[str, Any], bytes]:
+    """Decompress and validate the header; returns it with the world
+    bytes, which stay untouched (nothing is unpickled here)."""
     try:
         raw = gzip.decompress(data)
     except OSError as exc:
         raise CheckpointError(
             f"not a checkpoint file (gzip layer failed: {exc})") from exc
-    try:
-        envelope = pickle.loads(raw)
-    except Exception as exc:
-        raise CheckpointError(
-            f"not a checkpoint file (envelope undecodable: {exc!r})"
-        ) from exc
-    if not isinstance(envelope, dict) or envelope.get("format") != MAGIC:
+    if not raw.startswith(_MAGIC_LINE):
+        # Schemas 1-2: a pickled envelope dict whose first key is the
+        # format marker.  Recognised by its leading bytes, never run.
+        if raw[:1] == b"\x80" and MAGIC.encode("ascii") in raw[:64]:
+            raise _schema_error("<= 2 (pickled envelope)")
         raise CheckpointError(
             "not a checkpoint file (missing the "
             f"{MAGIC!r} format marker)")
-    schema = envelope.get("schema")
-    if schema != SCHEMA_VERSION:
+    end = raw.find(b"\n", len(_MAGIC_LINE))
+    try:
+        if end < 0:
+            raise ValueError("no header line")
+        header = json.loads(raw[len(_MAGIC_LINE):end].decode("utf-8"))
+    except ValueError as exc:
         raise CheckpointError(
-            f"checkpoint schema {schema!r} is not supported by this "
-            f"build (reads schema {SCHEMA_VERSION}); it was written by "
-            f"a different version of repro — re-create the checkpoint "
-            f"with this build or restore it with the matching one")
-    return envelope
+            f"not a checkpoint file (header undecodable: {exc!r})"
+        ) from exc
+    if not isinstance(header, dict) or header.get("format") != MAGIC:
+        raise CheckpointError(
+            "not a checkpoint file (missing the "
+            f"{MAGIC!r} format marker)")
+    schema = header.get("schema")
+    if schema != SCHEMA_VERSION:
+        raise _schema_error(schema)
+    if not isinstance(header.get("meta"), dict):
+        raise CheckpointError("checkpoint header carries no meta object")
+    return header, raw[end + 1:]
 
 
 def peek_meta(path: str) -> Dict[str, Any]:
     """Read a checkpoint's ``meta`` summary without restoring it."""
     with open(path, "rb") as stream:
-        return _decode_envelope(stream.read())["meta"]
+        return _decode_header(stream.read())[0]["meta"]
 
 
 def restore_bytes(data: bytes,
@@ -186,14 +209,14 @@ def restore_bytes(data: bytes,
     server's ``/fork`` endpoint) that must not disturb the id space of
     the run still executing in this process.
     """
-    envelope = _decode_envelope(data)
-    world = pickle.loads(envelope["world"])
+    header, world_bytes = _decode_header(data)
+    world = pickle.loads(world_bytes)
     if advance_counters:
         _advance_global_counters(world)
     return RestoredRun(cluster=world["cluster"], policy=world["policy"],
                        collector=world["collector"], jobs=world["jobs"],
                        trace_name=world["trace_name"],
-                       meta=dict(envelope["meta"]))
+                       meta=dict(header["meta"]))
 
 
 def load_checkpoint(path: str,

@@ -1,9 +1,12 @@
 """Event-queue simulation engine.
 
-The engine keeps a binary heap of ``(time, priority, sequence)`` keyed
-events.  Events are plain callables; cancellation is *lazy* — a
-cancelled :class:`EventHandle` stays in the heap but is skipped when it
-surfaces, which keeps cancellation O(1).
+The engine keeps a binary heap of ``(time, priority, sequence,
+handle)`` tuples, so every ordering comparison runs in C (``sequence``
+is unique; the handle is never compared).  Events are plain
+callables; cancellation is *lazy* — a cancelled :class:`EventHandle`
+stays in the heap but is skipped when it surfaces, which keeps
+cancellation O(1).  Periodic services register once with
+:meth:`Simulator.every` and are re-armed in place after each tick.
 
 Determinism guarantees:
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.obs.bus import NULL_CHANNEL
 
@@ -29,14 +32,19 @@ class EventHandle:
     """A scheduled event that may be cancelled before it fires.
 
     Instances are returned by :meth:`Simulator.schedule` /
-    :meth:`Simulator.schedule_at` and compare by heap key.  A *daemon*
-    event (periodic samplers, load-info exchanges, monitors) does not
-    keep :meth:`Simulator.run` alive: an open-ended run stops once only
-    daemon events remain.
+    :meth:`Simulator.schedule_at` / :meth:`Simulator.every`.  The heap
+    orders ``(time, priority, seq, handle)`` tuples, so handles are
+    never compared: ``seq`` is unique and every ordering decision is a
+    C-level float/int comparison.  A *daemon* event (periodic
+    samplers, load-info exchanges, monitors) does not keep
+    :meth:`Simulator.run` alive: an open-ended run stops once only
+    daemon events remain.  A *periodic* handle (``period`` set, see
+    :meth:`Simulator.every`) is re-armed in place after each firing
+    until cancelled.
     """
 
-    __slots__ = ("time", "priority", "seq", "sort_key", "callback",
-                 "cancelled", "daemon", "_owner")
+    __slots__ = ("time", "priority", "seq", "callback", "cancelled",
+                 "daemon", "period", "_firing", "_owner")
 
     def __init__(self, time: float, priority: int, seq: int,
                  callback: Callable[[], None], daemon: bool = False,
@@ -44,34 +52,35 @@ class EventHandle:
         self.time = time
         self.priority = priority
         self.seq = seq
-        #: Precomputed heap key: built once at schedule time instead of
-        #: twice per comparison (heap sift paths compare O(log n) times
-        #: per push/pop).
-        self.sort_key = (time, priority, seq)
         self.callback: Optional[Callable[[], None]] = callback
         self.cancelled = False
         self.daemon = daemon
+        #: Re-arm interval of a periodic handle; None for one-shots.
+        self.period: Optional[float] = None
+        #: True while a periodic handle's callback runs (the handle is
+        #: then off the heap and already uncounted).
+        self._firing = False
         self._owner = owner
 
     def cancel(self) -> None:
-        """Prevent the event from firing (idempotent)."""
-        if self.cancelled or self.callback is None:
+        """Prevent the event from firing (idempotent).  A periodic
+        handle cancelled from inside its own callback is not re-armed."""
+        if self.callback is None:
             return
         self.cancelled = True
         self.callback = None  # break reference cycles early
-        if self._owner is not None:
+        owner = self._owner
+        if owner is not None and not self._firing:
             if self.daemon:
-                self._owner._daemon_pending -= 1
+                owner._daemon_pending -= 1
             else:
-                self._owner._non_daemon_pending -= 1
+                owner._non_daemon_pending -= 1
 
     @property
     def pending(self) -> bool:
-        """True while the event is scheduled and not cancelled/fired."""
-        return not self.cancelled and self.callback is not None
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return self.sort_key < other.sort_key
+        """True while the event is scheduled and not cancelled/fired
+        (a periodic handle stays pending until cancelled)."""
+        return self.callback is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -94,7 +103,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: List[EventHandle] = []
+        self._heap: List[Tuple[float, int, int, EventHandle]] = []
         self._seq = itertools.count()
         self._running = False
         self._event_count = 0
@@ -152,15 +161,62 @@ class Simulator:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time!r} before now={self._now!r}")
-        handle = EventHandle(float(time), priority, next(self._seq),
-                             callback, daemon=daemon, owner=self)
-        heapq.heappush(self._heap, handle)
+        time = float(time)
+        seq = next(self._seq)
+        handle = EventHandle(time, priority, seq, callback, daemon=daemon,
+                             owner=self)
+        heapq.heappush(self._heap, (time, priority, seq, handle))
         if daemon:
             self._daemon_pending += 1
         else:
             self._non_daemon_pending += 1
         self._maybe_compact()
         return handle
+
+    def every(self, period: float, callback: Callable[[], None],
+              priority: int = 0) -> EventHandle:
+        """Run ``callback`` every ``period`` seconds, first at
+        ``now + period``, as a daemon until the returned handle is
+        cancelled.
+
+        The handle is re-armed in place right after each callback
+        returns: its next key is ``(now + period, priority,
+        next(seq))``, drawn at exactly the point where a service that
+        ends its tick with ``schedule(period, tick, priority,
+        daemon=True)`` would draw it.  Firing order and
+        :attr:`event_count` are therefore identical to the
+        self-rescheduling pattern, while a tick costs one heap push
+        instead of a new handle and a Python-level comparison chain.
+        """
+        if not period > 0:
+            raise SimulationError(f"period must be positive: {period!r}")
+        handle = self.schedule_at(self._now + period, callback, priority,
+                                  daemon=True)
+        handle.period = period
+        return handle
+
+    def periodic_handles(self) -> List[EventHandle]:
+        """Live periodic handles on the heap (in heap order)."""
+        return [entry[3] for entry in self._heap
+                if entry[3].period is not None and entry[3].pending]
+
+    def _fire_periodic(self, handle: EventHandle) -> None:
+        """Run a popped periodic handle, then re-arm it unless its
+        callback cancelled it."""
+        handle._firing = True
+        handle.callback()
+        handle._firing = False
+        if handle.callback is None:
+            return
+        time = self._now + handle.period
+        seq = next(self._seq)
+        handle.time = time
+        handle.seq = seq
+        heap = self._heap
+        heapq.heappush(heap, (time, handle.priority, seq, handle))
+        self._daemon_pending += 1
+        if len(heap) >= self._COMPACT_MIN_HEAP:
+            self._maybe_compact()
 
     def _maybe_compact(self) -> None:
         """Rebuild the heap once lazily-cancelled events outnumber the
@@ -178,7 +234,8 @@ class Simulator:
             return
         if 2 * (self._non_daemon_pending + self._daemon_pending) >= len(heap):
             return
-        self._heap = [ev for ev in heap if ev.pending]
+        self._heap = [entry for entry in heap
+                      if entry[3].callback is not None]
         heapq.heapify(self._heap)
         self.compactions += 1
 
@@ -186,34 +243,43 @@ class Simulator:
     # execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Execute the next pending event.
+        """Execute the next pending event (re-arming a periodic one
+        exactly as :meth:`run` does).
 
         Returns False when the queue is exhausted.
         """
         while self._heap:
-            handle = heapq.heappop(self._heap)
-            if not handle.pending:
+            time, priority, _, handle = heapq.heappop(self._heap)
+            if handle.callback is None:
                 continue
-            self._now = handle.time
-            callback, handle.callback = handle.callback, None
-            if handle.daemon:
-                self._daemon_pending -= 1
-            else:
-                self._non_daemon_pending -= 1
+            self._now = time
             self._event_count += 1
-            obs = self.obs_channel
-            if obs.enabled:
-                obs.emit(self._now, "fire", priority=handle.priority,
-                         daemon=handle.daemon)
-            callback()
+            if handle.period is None:
+                callback, handle.callback = handle.callback, None
+                if handle.daemon:
+                    self._daemon_pending -= 1
+                else:
+                    self._non_daemon_pending -= 1
+                obs = self.obs_channel
+                if obs.enabled:
+                    obs.emit(time, "fire", priority=priority,
+                             daemon=handle.daemon)
+                callback()
+            else:
+                self._daemon_pending -= 1
+                obs = self.obs_channel
+                if obs.enabled:
+                    obs.emit(time, "fire", priority=priority, daemon=True)
+                self._fire_periodic(handle)
             return True
         return False
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
-        while self._heap and not self._heap[0].pending:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][3].callback is None:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
@@ -242,28 +308,36 @@ class Simulator:
                 if until is None and self._non_daemon_pending <= 0:
                     break
                 heap = self._heap
-                while heap and not heap[0].pending:
+                while heap and heap[0][3].callback is None:
                     pop(heap)
                 if not heap:
                     break
-                handle = heap[0]
-                if until is not None and handle.time > until:
+                time = heap[0][0]
+                if until is not None and time > until:
                     break
                 if max_events is not None and executed >= max_events:
                     break
-                pop(heap)
-                self._now = handle.time
-                callback, handle.callback = handle.callback, None
-                if handle.daemon:
-                    self._daemon_pending -= 1
-                else:
-                    self._non_daemon_pending -= 1
+                _, priority, _, handle = pop(heap)
+                self._now = time
                 self._event_count += 1
-                obs = self.obs_channel
-                if obs.enabled:
-                    obs.emit(self._now, "fire", priority=handle.priority,
-                             daemon=handle.daemon)
-                callback()
+                if handle.period is None:
+                    callback, handle.callback = handle.callback, None
+                    if handle.daemon:
+                        self._daemon_pending -= 1
+                    else:
+                        self._non_daemon_pending -= 1
+                    obs = self.obs_channel
+                    if obs.enabled:
+                        obs.emit(time, "fire", priority=priority,
+                                 daemon=handle.daemon)
+                    callback()
+                else:
+                    self._daemon_pending -= 1
+                    obs = self.obs_channel
+                    if obs.enabled:
+                        obs.emit(time, "fire", priority=priority,
+                                 daemon=True)
+                    self._fire_periodic(handle)
                 executed += 1
         finally:
             self._running = False

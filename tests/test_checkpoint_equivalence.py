@@ -16,13 +16,15 @@ executed-event count.  Three layers of pins:
 * **fuzz property** — hypothesis drives (seed, fault_seed, checkpoint
   time); identity must hold at any cut point, not just the curated
   one;
-* **golden fixture** — ``tests/golden/checkpoint_v2.ckpt`` is a
-  committed schema-2 snapshot; it must keep restoring to the pinned
-  summary in ``tests/golden/checkpoint_v2_summary.json``, and
+* **golden fixture** — ``tests/golden/checkpoint_v3.ckpt`` is a
+  committed schema-3 snapshot; it must keep restoring to the pinned
+  summary in ``tests/golden/checkpoint_v3_summary.json``, and
   unknown/older/newer schemas must fail with a clear error *before*
-  any world bytes are unpickled (``checkpoint_v1.ckpt`` is kept as a
-  real retired-schema file).  Regenerate the current fixture (only
-  after a deliberate schema bump) with::
+  anything is unpickled (``checkpoint_v1.ckpt`` and
+  ``checkpoint_v2.ckpt`` are kept as real retired-schema files, and a
+  pickle with a side effect must be refused without running).
+  Regenerate the current fixture (only after a deliberate schema
+  bump) with::
 
       PYTHONPATH=src python tests/golden/make_checkpoint_fixture.py
 """
@@ -58,6 +60,8 @@ GOLDEN_SUMMARY = os.path.join(GOLDEN_DIR,
                               f"checkpoint_v{SCHEMA_VERSION}_summary.json")
 #: A file written by the schema-1 build (before the balance moments).
 RETIRED_CKPT = os.path.join(GOLDEN_DIR, "checkpoint_v1.ckpt")
+#: A file written by the schema-2 build (pickled envelope, object heap).
+RETIRED_V2_CKPT = os.path.join(GOLDEN_DIR, "checkpoint_v2.ckpt")
 
 #: Same all-fault-classes model as tests/test_determinism.py.
 FULL_FAULTS = FaultConfig(mtbf_s=300.0, mttr_s=30.0,
@@ -218,17 +222,37 @@ def test_unpicklable_world_raises_checkpoint_error():
 # ----------------------------------------------------------------------
 # schema versioning: clear errors before any world unpickling
 # ----------------------------------------------------------------------
+def _checkpoint_file(header, world: bytes = b"never-unpickled") -> bytes:
+    """Schema-3 layout around an arbitrary header and world."""
+    return gzip.compress(MAGIC.encode() + b"\n" + json.dumps(header).encode()
+                         + b"\n" + world)
+
+
+#: Calls made by unpickling :class:`_SideEffect` (must stay empty).
+SIDE_EFFECTS = []
+
+
+def _record_side_effect(tag):
+    SIDE_EFFECTS.append(tag)
+    return tag
+
+
+class _SideEffect:
+    """Unpickling this object calls ``_record_side_effect``."""
+
+    def __reduce__(self):
+        return _record_side_effect, ("unpickled",)
+
+
 def test_newer_schema_is_rejected_with_clear_error():
-    envelope = {"format": MAGIC, "schema": SCHEMA_VERSION + 1,
-                "meta": {}, "world": b"never-unpickled"}
-    data = gzip.compress(pickle.dumps(envelope, protocol=4))
+    data = _checkpoint_file({"format": MAGIC, "schema": SCHEMA_VERSION + 1,
+                             "meta": {}})
     with pytest.raises(CheckpointError, match="schema"):
         restore_bytes(data)
 
 
 def test_missing_schema_is_rejected():
-    envelope = {"format": MAGIC, "meta": {}, "world": b""}
-    data = gzip.compress(pickle.dumps(envelope, protocol=4))
+    data = _checkpoint_file({"format": MAGIC, "meta": {}}, world=b"")
     with pytest.raises(CheckpointError, match="schema"):
         restore_bytes(data)
 
@@ -238,13 +262,48 @@ def test_retired_schema_file_is_rejected():
         load_checkpoint(RETIRED_CKPT)
 
 
+def test_schema2_file_is_rejected_before_unpickling():
+    with pytest.raises(CheckpointError, match="schema"):
+        load_checkpoint(RETIRED_V2_CKPT)
+    with pytest.raises(CheckpointError, match="schema"):
+        peek_meta(RETIRED_V2_CKPT)
+
+
 def test_non_checkpoint_bytes_are_rejected():
     with pytest.raises(CheckpointError, match="gzip"):
         restore_bytes(b"definitely not a checkpoint")
     with pytest.raises(CheckpointError, match="format marker"):
         restore_bytes(gzip.compress(pickle.dumps({"x": 1})))
+    with pytest.raises(CheckpointError, match="format marker"):
+        restore_bytes(_checkpoint_file({"format": "other", "schema": 3}))
+    with pytest.raises(CheckpointError, match="meta"):
+        restore_bytes(_checkpoint_file({"format": MAGIC,
+                                        "schema": SCHEMA_VERSION}))
     with pytest.raises(CheckpointError, match="undecodable"):
-        restore_bytes(gzip.compress(b"\x80\xff garbage"))
+        restore_bytes(gzip.compress(MAGIC.encode() + b"\n\x80\xff garbage"))
+
+
+def test_side_effecting_pickles_are_refused_unrun(tmp_path):
+    payload = pickle.dumps(_SideEffect(), protocol=4)
+    # The payload is live: unpickling it does record the side effect.
+    pickle.loads(payload)
+    assert SIDE_EFFECTS == ["unpickled"]
+    SIDE_EFFECTS.clear()
+    legacy = pickle.dumps({"format": MAGIC, "schema": SCHEMA_VERSION,
+                           "meta": {}, "world": _SideEffect()}, protocol=4)
+    cases = [
+        ("format marker", gzip.compress(payload)),
+        ("schema", gzip.compress(legacy)),
+        ("undecodable", gzip.compress(MAGIC.encode() + b"\n" + payload)),
+    ]
+    for message, data in cases:
+        with pytest.raises(CheckpointError, match=message):
+            restore_bytes(data)
+        path = tmp_path / "hostile.ckpt"
+        path.write_bytes(data)
+        with pytest.raises(CheckpointError, match=message):
+            peek_meta(str(path))
+    assert SIDE_EFFECTS == []
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,12 @@ must cover the scan — and must reproduce the summary and event count
 recorded in ``tests/golden/summaries_paths.json`` while the seed's
 selection path still ran and agreed.  Any divergence means the index
 changed scheduling decisions, not just their cost.
+
+The overload monitor also answers a declined migration from the
+idle-memory column alone (no node has room, so no candidate can
+qualify).  The last test runs full-scale cells where that shortcut
+fires hundreds of times with the full candidate loop, and the
+original reservation-reuse ``max``, attached as live oracles.
 """
 
 from collections import Counter
@@ -18,8 +24,13 @@ from collections import Counter
 import pytest
 
 from repro.cluster.loadinfo import LoadInfoDirectory
+from repro.cluster.workstation import _EPS
+from repro.core.reservation import ReservationManager, ReservationState
+from repro.experiments.runner import default_config, run_experiment
 from repro.scheduling.base import LoadSharingPolicy
+from repro.workload.programs import WorkloadGroup
 
+from test_determinism import canonical
 from test_paths_golden import CELLS, load_golden, run_cell
 
 #: Policies whose selection logic touches the candidate orders.
@@ -127,3 +138,78 @@ def test_larger_cluster_equivalence(golden, oracle_checks):
     seed's order beyond the default topology too (smaller stand-in
     keeps the test suite fast)."""
     assert_cell_matches("nodes96-memory", golden, oracle_checks)
+
+
+# ----------------------------------------------------------------------
+# the monitor's column-max reject against the full candidate loop
+# ----------------------------------------------------------------------
+def attach_destination_oracle(monkeypatch):
+    """Check every ``find_migration_destination`` answer against the
+    full candidate loop it short-cuts, and every reservation reuse
+    pick against the original ``max`` over the filtered active list;
+    returns the check counts."""
+    checks = Counter()
+    find = LoadSharingPolicy.find_migration_destination
+
+    def checked_find(self, job, exclude=None):
+        rejected = (max(self.cluster.state.idle_memory_mb)
+                    < job.current_demand_mb - _EPS)
+        full = next((node for node
+                     in self.candidates_by_idle_memory(exclude=exclude)
+                     if node.accepts_migration(job)), None)
+        if rejected:
+            assert full is None, "column-max reject hid a destination"
+        answer = find(self, job, exclude)
+        assert answer is full
+        checks["rejected" if rejected else "searched"] += 1
+        return answer
+
+    pick = ReservationManager.serving_reservation_with_capacity
+
+    def checked_pick(self, job):
+        rejected = (max(self.cluster.state.idle_memory_mb)
+                    < job.current_demand_mb - 1e-9)
+        candidates = [r for r in self.active_reservations
+                      if r.state is ReservationState.SERVING
+                      and r.has_capacity_for(job)]
+        full = (max(candidates, key=lambda r: r.node.idle_memory_mb)
+                if candidates else None)
+        if rejected:
+            assert full is None, "column-max reject hid a reservation"
+        answer = pick(self, job)
+        assert answer is full
+        checks["pick_rejected" if rejected else "pick_searched"] += 1
+        return answer
+
+    monkeypatch.setattr(LoadSharingPolicy, "find_migration_destination",
+                        checked_find)
+    monkeypatch.setattr(ReservationManager,
+                        "serving_reservation_with_capacity", checked_pick)
+    return checks
+
+
+#: Full-scale cells where thrashing nodes are often re-declined with
+#: memory saturated everywhere (the reject fires hundreds of times),
+#: flat and in four load-information domains.
+REJECT_CELLS = [("app", 3, "g-loadsharing", 1),
+                ("app", 3, "v-reconfiguration", 4),
+                ("app", 3, "memory", 1),
+                ("spec", 3, "suspension", 1)]
+
+
+@pytest.mark.parametrize("group,index,policy,domains", REJECT_CELLS)
+def test_column_max_reject_agrees_with_candidate_loop(
+        group, index, policy, domains, monkeypatch):
+    group = WorkloadGroup(group)
+    config = default_config(group).replace(domains=domains)
+    plain = run_experiment(group, index, policy=policy, seed=0,
+                           config=config)
+    checks = attach_destination_oracle(monkeypatch)
+    checked = run_experiment(group, index, policy=policy, seed=0,
+                             config=config)
+    assert checks["rejected"] > 0 and checks["searched"] > 0
+    if policy == "v-reconfiguration":
+        assert checks["pick_rejected"] > 0 and checks["pick_searched"] > 0
+    # The oracle's extra candidate reads change no decision either.
+    assert canonical(checked.summary) == canonical(plain.summary)
+    assert checked.cluster.sim.event_count == plain.cluster.sim.event_count

@@ -1,6 +1,7 @@
 """Unit tests for the job and memory-profile models."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.job import (
     Job,
@@ -58,6 +59,40 @@ class TestMemoryProfile:
     def test_profile_must_start_at_zero(self):
         with pytest.raises(ValueError):
             MemoryProfile([Phase(1.0, 1.0)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bisect_lookups_equal_linear_scan(self, data):
+        """The bisection lookups answer exactly what the original
+        front-to-back phase scan answered, including progress within
+        ``_TOL`` either side of a phase start."""
+        gaps = data.draw(st.lists(
+            st.floats(min_value=1e-6, max_value=100.0), max_size=6))
+        starts = [0.0]
+        for gap in gaps:
+            start = starts[-1] + gap
+            if start > starts[-1]:
+                starts.append(start)
+        demands = data.draw(st.lists(
+            st.floats(min_value=0.0, max_value=1e4),
+            min_size=len(starts), max_size=len(starts)))
+        profile = MemoryProfile.from_pairs(list(zip(starts, demands)))
+        tol = MemoryProfile._TOL
+        anchor = data.draw(st.sampled_from(starts))
+        offset = data.draw(st.sampled_from(
+            [0.0, tol, -tol, 2 * tol, -2 * tol, tol / 2, -tol / 2,
+             1e-3, -1e-3]))
+        progress = anchor + offset
+
+        demand = profile.phases[0].demand_mb
+        boundary = None
+        for phase in profile.phases:
+            if phase.start_progress > progress + tol:
+                boundary = phase.start_progress
+                break
+            demand = phase.demand_mb
+        assert profile.demand_at(progress) == demand
+        assert profile.next_boundary(progress) == boundary
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):

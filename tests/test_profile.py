@@ -4,11 +4,14 @@ the Perfetto self-profile track."""
 import dataclasses
 import json
 import time
+from collections import Counter
 
 import pytest
 
 from repro.experiments.scenario import run_blocking_scenario
 from repro.obs.profile import OTHER_PHASE, EngineProfiler
+from repro.scheduling.base import LoadSharingPolicy
+from repro.scheduling.g_loadsharing import GLoadSharing
 from repro.obs.session import ObsSession
 from repro.obs.trace_export import PROFILE_PID, chrome_trace
 
@@ -48,6 +51,38 @@ class TestTimerCore:
 
     def test_coverage_zero_before_any_run(self):
         assert EngineProfiler().coverage() == 0.0
+
+    def test_attach_retargets_periodic_ticks_and_detach_restores(self):
+        """A periodic daemon holds the bound tick it registered with;
+        attach points its heap handle at the timed wrapper, detach
+        points it back."""
+        cluster = tiny_cluster()
+        policy = GLoadSharing(cluster)
+        monitor = policy._monitor_event
+        assert monitor.callback == policy._monitor_tick
+        profiler = EngineProfiler().attach(cluster, policy=policy)
+        assert monitor.callback is vars(policy)["_monitor_tick"]
+        profiler.detach()
+        assert "_monitor_tick" not in vars(policy)
+        assert monitor.callback == policy._monitor_tick
+
+
+def test_monitor_phase_times_every_tick(monkeypatch):
+    """The reconfiguration phase is entered exactly once per monitor
+    tick, although the tick was registered before the profiler
+    wrapped it."""
+    ticks = Counter()
+    monitor_tick = LoadSharingPolicy._monitor_tick
+
+    def counted(self):
+        ticks["monitor"] += 1
+        monitor_tick(self)
+
+    monkeypatch.setattr(LoadSharingPolicy, "_monitor_tick", counted)
+    obs = ObsSession(record_events=False, profile=True, run_label="ticks")
+    run_blocking_scenario("v-reconfiguration", obs=obs)
+    assert ticks["monitor"] > 0
+    assert obs.profiler.calls["reconfiguration"] == ticks["monitor"]
 
 
 class TestProfiledRun:

@@ -1,8 +1,12 @@
 """Unit tests for the reservation lifecycle (§2.1)."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.reservation import (
+    Reservation,
     ReservationManager,
     ReservationMode,
     ReservationState,
@@ -196,3 +200,31 @@ class TestCancelAndTimeout:
         cluster.sim.run()
         kinds = [event.kind for event in mgr.timeline]
         assert kinds == ["reserve", "ready", "assign", "arrive", "release"]
+
+
+class TestServingPick:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(
+               st.sampled_from([ReservationState.RESERVING,
+                                ReservationState.SERVING]),
+               st.sampled_from([0.0, 10.0, 30.0, 30.0, 60.0]),
+               st.booleans()), max_size=6),
+           demand=st.sampled_from([5.0, 30.0, 50.0]))
+    def test_single_pass_equals_max_over_filtered_list(self, rows, demand):
+        """The one-pass reuse pick returns the very reservation the
+        original ``max`` over the filtered active list returned: the
+        first with the most idle memory."""
+        mgr = manager(tiny_cluster(num_nodes=8), max_reserved=7)
+        for node_id, (state, idle, free_slot) in enumerate(rows):
+            node = SimpleNamespace(node_id=node_id, idle_memory_mb=idle,
+                                   has_free_slot=free_slot)
+            mgr._by_node[node_id] = Reservation(
+                node=node, mode=mgr.mode, needed_mb=demand,
+                created_at=0.0, state=state)
+        wanted = job(demand=demand)
+        candidates = [r for r in mgr.active_reservations
+                      if r.state is ReservationState.SERVING
+                      and r.has_capacity_for(wanted)]
+        expected = (max(candidates, key=lambda r: r.node.idle_memory_mb)
+                    if candidates else None)
+        assert mgr.serving_reservation_with_capacity(wanted) is expected

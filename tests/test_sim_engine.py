@@ -1,9 +1,20 @@
 """Unit tests for the discrete-event simulation kernel."""
 
-import pytest
+import functools
 
-from repro.sim import Simulator, SimulationError
-from repro.sim.engine import EventHandle
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.metrics.collector import MetricsCollector, PolicyPendingProbe
+from repro.scheduling.g_loadsharing import GLoadSharing
+from repro.sim import Simulator, SimulationError, restore_bytes, snapshot_bytes
+
+from helpers import job, tiny_cluster
+
+
+def live_entries(sim):
+    """Heap entries whose handle can still fire."""
+    return [entry for entry in sim._heap if entry[3].pending]
 
 
 def test_events_fire_in_time_order():
@@ -135,11 +146,20 @@ def test_event_count_tracks_executed_events():
 
 
 def test_event_handle_ordering():
-    a = EventHandle(1.0, 0, 0, lambda: None)
-    b = EventHandle(1.0, 0, 1, lambda: None)
-    c = EventHandle(0.5, 9, 2, lambda: None)
-    assert a < b
-    assert c < a
+    """The heap orders (time, priority, seq, handle) tuples: seq is
+    unique, so handles carry their key but are never compared."""
+    sim = Simulator()
+    a = sim.schedule(1.0, lambda: None)
+    b = sim.schedule(1.0, lambda: None)
+    c = sim.schedule(0.5, lambda: None, priority=9)
+    keys = {id(entry[3]): entry[:3] for entry in sim._heap}
+    assert keys[id(a)] == (a.time, a.priority, a.seq) == (1.0, 0, 0)
+    assert keys[id(b)] == (1.0, 0, 1)
+    assert keys[id(c)] == (0.5, 9, 2)
+    assert keys[id(a)] < keys[id(b)] and keys[id(c)] < keys[id(a)]
+    assert sim._heap[0][3] is c
+    with pytest.raises(TypeError):
+        a < b
 
 
 def test_reentrant_run_rejected():
@@ -252,11 +272,9 @@ class TestPendingEventsCounter:
                                         daemon=(i % 3 == 0)))
         for handle in handles[::2]:
             handle.cancel()
-        expected = sum(1 for ev in sim._heap if ev.pending)
-        assert sim.pending_events() == expected
+        assert sim.pending_events() == len(live_entries(sim))
         sim.run(until=10.0)
-        expected = sum(1 for ev in sim._heap if ev.pending)
-        assert sim.pending_events() == expected
+        assert sim.pending_events() == len(live_entries(sim))
 
 
 class TestHeapCompaction:
@@ -311,3 +329,185 @@ class TestHeapCompaction:
         assert sim.pending_events() == 2
         live.cancel()
         previous.cancel()
+
+
+# ----------------------------------------------------------------------
+# periodic daemons (Simulator.every)
+# ----------------------------------------------------------------------
+def _drive(sim, spec, periodic):
+    """Run one scenario; returns the firing log.
+
+    ``spec``: services (priorities), one-shot events (time, priority),
+    events each service's tick schedules from inside itself
+    ({tick: [(delay, priority)]}), and per-service stop times (a
+    one-shot that cancels the service).  ``periodic`` picks
+    :meth:`Simulator.every` or the self-rescheduling pattern it
+    replaces.
+    """
+    period, services, oneshots, inner, stops = spec
+    log = []
+
+    def record(label):
+        log.append((sim.now, label, sim.pending_events(), sim.event_count))
+
+    current = {}
+    counts = {}
+
+    def body(name):
+        tick = counts[name] = counts.get(name, 0) + 1
+        record(name)
+        for k, (delay, priority) in enumerate(inner.get((name, tick), ())):
+            sim.schedule(delay, functools.partial(record, f"{name}.{k}"),
+                         priority=priority)
+
+    def legacy_tick(name, priority):
+        body(name)
+        current[name] = sim.schedule(
+            period, functools.partial(legacy_tick, name, priority),
+            priority=priority, daemon=True)
+
+    for index, priority in enumerate(services):
+        name = f"s{index}"
+        if periodic:
+            current[name] = sim.every(period, functools.partial(body, name),
+                                      priority=priority)
+        else:
+            current[name] = sim.schedule(
+                period, functools.partial(legacy_tick, name, priority),
+                priority=priority, daemon=True)
+    for index, (time, priority) in enumerate(oneshots):
+        sim.schedule_at(time, functools.partial(record, f"o{index}"),
+                        priority=priority)
+    for index, (time, priority) in enumerate(stops):
+        if index < len(services):
+            name = f"s{index}"
+            sim.schedule_at(time, lambda name=name: current[name].cancel(),
+                            priority=priority)
+    return log
+
+
+_priority = st.integers(min_value=0, max_value=3)
+_grid_time = st.integers(min_value=0, max_value=40).map(lambda k: k * 0.25)
+scenarios = st.tuples(
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.lists(_priority, min_size=1, max_size=3),
+    st.lists(st.tuples(_grid_time, _priority), min_size=1, max_size=12),
+    st.dictionaries(
+        st.tuples(st.sampled_from(["s0", "s1", "s2"]),
+                  st.integers(min_value=1, max_value=8)),
+        st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.25, 1.0]),
+                           _priority), max_size=3),
+        max_size=6),
+    st.lists(st.tuples(_grid_time, _priority), max_size=2))
+
+
+class TestPeriodic:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=scenarios)
+    def test_every_matches_self_rescheduling(self, spec):
+        """Same global firing order, clock, pending counts and
+        event_count as a service that reschedules itself at the end of
+        each tick — including same-(time, priority) ties and zero-delay
+        events scheduled from inside the tick."""
+        legacy, periodic = Simulator(), Simulator()
+        expected = _drive(legacy, spec, periodic=False)
+        got = _drive(periodic, spec, periodic=True)
+        legacy.run()
+        periodic.run()
+        assert got == expected
+        assert periodic.event_count == legacy.event_count
+        assert periodic.now == legacy.now
+        assert periodic.pending_events() == legacy.pending_events()
+
+    def test_cancel_inside_own_callback_stops_it(self):
+        sim = Simulator()
+        fired = []
+
+        def tick():
+            fired.append(sim.now)
+            if len(fired) == 3:
+                handle.cancel()
+
+        handle = sim.every(1.0, tick, priority=2)
+        sim.schedule(10.0, lambda: None)
+        sim.run()
+        assert fired == [1.0, 2.0, 3.0]
+        assert not handle.pending
+        assert sim.pending_events() == 0
+        assert live_entries(sim) == []
+
+    def test_step_rearms_like_run(self):
+        spec = (1.0, [2, 2, 0], [(1.0, 2), (2.5, 0), (3.0, 1)],
+                {("s0", 1): [(0.0, 2), (0.0, 0)], ("s1", 2): [(1.0, 2)]},
+                [(4.0, 3)])
+        by_run, by_step = Simulator(), Simulator()
+        expected = _drive(by_run, spec, periodic=True)
+        got = _drive(by_step, spec, periodic=True)
+        by_run.run()
+        while by_step.has_non_daemon_work:
+            assert by_step.step()
+        assert got == expected
+        assert by_step.event_count == by_run.event_count
+        assert by_step.now == by_run.now
+        assert ([entry[:3] for entry in sorted(live_entries(by_step))]
+                == [entry[:3] for entry in sorted(live_entries(by_run))])
+        assert len(by_step.periodic_handles()) == 2
+
+    def test_pending_events_stays_exact(self):
+        sim = Simulator()
+        seen = []
+
+        def tick():
+            # The firing handle is off the heap and uncounted.
+            seen.append((sim.pending_events(), len(live_entries(sim))))
+            sim.schedule(0.0, lambda: None)
+
+        handle = sim.every(1.0, tick)
+        sim.every(0.5, lambda: None, priority=1)
+        sim.schedule(4.0, lambda: None)
+        assert sim.pending_events() == len(live_entries(sim)) == 3
+        while sim.now < 3.0:
+            sim.step()
+            assert sim.pending_events() == len(live_entries(sim))
+        before = sim.pending_events()
+        handle.cancel()
+        assert sim.pending_events() == len(live_entries(sim)) == before - 1
+        assert len(seen) == 3
+        assert all(pending == live for pending, live in seen)
+
+    def test_every_rejects_non_positive_period(self):
+        with pytest.raises(SimulationError):
+            Simulator().every(0.0, lambda: None)
+
+    def test_periodic_handle_survives_snapshot(self):
+        cluster = tiny_cluster()
+        policy = GLoadSharing(cluster)
+        collector = MetricsCollector(cluster,
+                                     pending_probe=PolicyPendingProbe(policy))
+        jobs = [job(work=40.0, demand=30.0, home=i % 4, submit=float(i))
+                for i in range(6)]
+        for j in jobs:
+            cluster.sim.schedule_at(j.submit_time,
+                                    functools.partial(policy.submit, j))
+        cluster.sim.run(until=5.5)
+        data = snapshot_bytes(cluster=cluster, policy=policy,
+                              collector=collector, jobs=jobs,
+                              trace_name="every")
+        restored = restore_bytes(data, advance_counters=False)
+        sim, twin = cluster.sim, restored.cluster.sim
+
+        def keys(s):
+            return sorted((h.time, h.priority, h.seq, h.period)
+                          for h in s.periodic_handles())
+
+        # The monitor and the collector (tiny_config exchanges live).
+        assert keys(twin) == keys(sim) and len(keys(sim)) == 2
+        monitor = restored.policy._monitor_event
+        assert monitor.period == cluster.config.monitor_interval_s
+        assert monitor.pending
+        assert monitor in twin.periodic_handles()
+        sim.run()
+        twin.run()
+        assert twin.event_count == sim.event_count
+        assert twin.now == sim.now
+        assert len(restored.collector.samples) == len(collector.samples)

@@ -331,6 +331,43 @@ class TestPostErrors:
         assert status == 413
         assert str(MAX_POST_BODY_BYTES) in reply["error"]
 
+    def test_concurrent_fork_is_429(self, unbound_server):
+        """While one fork is in flight a second answers 429 at once;
+        once the first has answered, forks are accepted again."""
+        live = unbound_server.live
+        entered, release = threading.Event(), threading.Event()
+
+        def held_snapshot():
+            entered.set()
+            release.wait(30)
+            return None, "snapshot stubbed", 503
+
+        live._request_snapshot = held_snapshot
+        url = f"{live.url}/fork"
+        box = {}
+
+        def first():
+            try:
+                post(url, {"policy": "g-loadsharing"})
+            except urllib.error.HTTPError as exc:
+                box["code"] = exc.code
+
+        thread = threading.Thread(target=first)
+        thread.start()
+        try:
+            assert entered.wait(30)
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(url, {"policy": "g-loadsharing"})
+            assert excinfo.value.code == 429
+            assert b"already running" in excinfo.value.read()
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert box["code"] == 503
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(url, {"policy": "g-loadsharing"})
+        assert excinfo.value.code == 503
+
     def test_fork_requires_policy(self):
         obs = ObsSession(record_events=False, serve=0)
         obs.attach(tiny_cluster(), policy=object())

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.config import ClusterConfig, WorkstationSpec
 from repro.cluster.job import Job, JobState, MemoryProfile
@@ -249,3 +250,32 @@ class TestAdmission:
         # memory fits -> nobody faults
         assert node.most_memory_intensive_job(faulting_only=True) is None
         assert node.most_memory_intensive_job() is not None
+
+    def test_node_fits_the_shared_key_table(self):
+        """Fewer than 30 instance attributes keep every node on the
+        class's shared key table (see the class docstring)."""
+        sim = Simulator()
+        node = make_node(sim)
+        node.add_job(make_job())
+        sim.run(until=1.0)
+        assert len(vars(node)) < 30
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from([10.0, 20.0, 20.0, 45.0]),
+                                   st.booleans()), max_size=5),
+           faulting_only=st.booleans())
+    def test_single_pass_pick_equals_max(self, rows, faulting_only):
+        """The one-pass victim pick equals the original ``max`` over
+        the filtered list keyed by (demand, -job id)."""
+        node = make_node(Simulator(), memory_mb=100.0, cpu_threshold=8)
+        jobs = [make_job(work=10.0, demand=demand) for demand, _ in rows]
+        for job in jobs:
+            node.add_job(job)
+        for job, (_, faulting) in zip(jobs, rows):
+            job.faulting = faulting
+        candidates = [job for job in jobs
+                      if not faulting_only or job.faulting]
+        expected = (max(candidates, key=lambda job: (job.current_demand_mb,
+                                                     -job.job_id))
+                    if candidates else None)
+        assert node.most_memory_intensive_job(faulting_only) is expected
